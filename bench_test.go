@@ -21,6 +21,7 @@ import (
 	"needle/internal/core"
 	"needle/internal/frame"
 	"needle/internal/interp"
+	"needle/internal/ir"
 	"needle/internal/mem"
 	"needle/internal/ooo"
 	"needle/internal/pipeline"
@@ -199,7 +200,7 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 	ctx := context.Background()
 	sweep := func(b *testing.B, store pipeline.Store) {
 		b.Helper()
-		as, err := core.AnalyzeAllCtx(ctx, cfg, core.Options{Store: store})
+		as, err := core.New(core.WithStore(store)).RunAll(ctx, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,7 +284,7 @@ func BenchmarkInterpreter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		work := make([]uint64, len(memory))
 		copy(work, memory)
-		res, err := interp.Run(f, args, work, nil, 0)
+		res, err := interp.Exec(f, args, work, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -377,16 +378,30 @@ func BenchmarkCGRASchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkOOOModel measures the host timing model's streaming throughput.
+// timedCollector prepares the production timed run of f: a profile
+// collector whose RunTimed feeds a timing model one block at a time, as
+// the system simulator's capture does.
+func timedCollector(b *testing.B, f *ir.Function) *profile.Collector {
+	b.Helper()
+	c, err := profile.NewCollector(nil, f, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
+// BenchmarkOOOModel measures the host timing model's streaming throughput
+// on the production feed (planned execution, one FeedBlock per block).
 func BenchmarkOOOModel(b *testing.B) {
 	w := workloads.ByName("183.equake")
 	f, args, memory := w.Instance(1000)
+	c := timedCollector(b, f)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		work := make([]uint64, len(memory))
 		copy(work, memory)
 		m := ooo.New(ooo.DefaultConfig(), f.NumRegs(), mem.New(mem.Config{}))
-		if _, err := interp.Run(f, args, work, m.Hooks(), 0); err != nil {
+		if _, err := c.RunTimed(args, work, m, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -460,14 +475,14 @@ func BenchmarkAblationMemOrdering(b *testing.B) {
 func BenchmarkAblationPredictor(b *testing.B) {
 	w := workloads.ByName("bodytrack")
 	histBits := []uint{2, 4, 8, 12, 16}
-	sweep := func(b *testing.B, cache *pipeline.Cache) float64 {
+	sweep := func(b *testing.B, store pipeline.Store) float64 {
 		b.Helper()
 		var imp float64
 		for _, hb := range histBits {
 			cfg := core.DefaultConfig()
 			cfg.N = 2000
 			cfg.Sim.HistBits = hb
-			a, err := core.AnalyzeWith(cache, w, cfg)
+			a, err := core.New(core.WithStore(store)).RunWorkload(context.Background(), w, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -622,6 +637,7 @@ func BenchmarkFigure2(b *testing.B) { benchTable(b, (*tables.Suite).Figure2) }
 func BenchmarkAblationHostBranchPredictor(b *testing.B) {
 	w := workloads.ByName("186.crafty")
 	f, args, memory := w.Instance(3000)
+	c := timedCollector(b, f)
 	for _, pc := range []struct {
 		name string
 		real bool
@@ -634,7 +650,7 @@ func BenchmarkAblationHostBranchPredictor(b *testing.B) {
 				m := ooo.New(cfg, f.NumRegs(), mem.New(mem.Config{}))
 				work := make([]uint64, len(memory))
 				copy(work, memory)
-				if _, err := interp.Run(f, args, work, m.Hooks(), 0); err != nil {
+				if _, err := c.RunTimed(args, work, m, nil, 0); err != nil {
 					b.Fatal(err)
 				}
 				cycles = m.Cycles()

@@ -229,7 +229,7 @@ func dispatch(ctx context.Context, o options, store pipeline.Store) {
 	case o.figure == "3":
 		fmt.Println(tables.Figure3())
 	case o.table != "" || o.figure != "" || o.all:
-		s, err := tables.RunCtx(ctx, cfg, core.Options{Jobs: o.jobs, Store: store})
+		s, err := tables.RunCtx(ctx, cfg, az)
 		if err != nil {
 			fatal("analysis sweep: %v", err)
 		}
@@ -361,7 +361,7 @@ func benchJSON(ctx context.Context, cfg core.Config, jobs int, store pipeline.St
 		Ms   float64 `json:"ms"`
 	}
 	start := time.Now()
-	s, err := tables.RunCtx(ctx, cfg, core.Options{Jobs: jobs, Store: store})
+	s, err := tables.RunCtx(ctx, cfg, core.New(core.WithJobs(jobs), core.WithStore(store)))
 	if err != nil {
 		fatal("analysis sweep: %v", err)
 	}

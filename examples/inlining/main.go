@@ -11,6 +11,7 @@
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 
@@ -21,57 +22,10 @@ import (
 	"needle/internal/region"
 )
 
-const moduleSrc = `func @classify(i64) {
-entry:
-  r2 = const.i64 16
-  r3 = rem r1, r2
-  r4 = const.i64 3
-  r5 = cmp.lt r3, r4
-  condbr r5, %small, %big
-small:
-  r6 = mul r3, r3
-  ret r6
-big:
-  r7 = const.i64 100
-  r8 = add r3, r7
-  ret r8
-}
-
-func @weight(i64, i64) {
-entry:
-  r3 = cmp.gt r1, r2
-  condbr r3, %hi, %lo
-hi:
-  r4 = sub r1, r2
-  ret r4
-lo:
-  r5 = const.i64 1
-  ret r5
-}
-
-func @hot(i64) {
-entry:
-  r2 = const.i64 0
-  br %head
-head:
-  r3 = phi.i64 [entry: r2] [latch: r4]
-  r5 = phi.i64 [entry: r2] [latch: r6]
-  r7 = cmp.lt r3, r1
-  condbr r7, %body, %exit
-body:
-  r8 = call.i64 @classify r3
-  r9 = const.i64 50
-  r10 = call.i64 @weight r8 r9
-  r6 = add r5, r10
-  br %latch
-latch:
-  r11 = const.i64 1
-  r4 = add r3, r11
-  br %head
-exit:
-  ret r5
-}
-`
+// moduleSrc is the hot loop and its two helpers.
+//
+//go:embed hot.nir
+var moduleSrc string
 
 func summarize(label string, f *ir.Function) {
 	fp, err := profile.CollectFunction(nil, f, []uint64{interp.IBits(600)}, nil, true, 0)
@@ -99,7 +53,7 @@ func main() {
 	hot := m.Func("hot")
 
 	// Semantics are identical before and after inlining.
-	before, err := interp.Run(hot, []uint64{interp.IBits(600)}, nil, nil, 0)
+	before, err := interp.Exec(hot, []uint64{interp.IBits(600)}, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	passes.Optimize(nil, inlined)
-	after, err := interp.Run(inlined, []uint64{interp.IBits(600)}, nil, nil, 0)
+	after, err := interp.Exec(inlined, []uint64{interp.IBits(600)}, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,5 +77,5 @@ func main() {
 	fmt.Println("classify() and weight() are invisible to region formation. Inlining")
 	fmt.Println("exposes them, the path profile splits into the real variants, and")
 	fmt.Println("the braid can merge them with internal IFs — which is why Needle")
-	fmt.Println("(and this pipeline's core.Analyze) inlines before profiling.")
+	fmt.Println("(and this pipeline's inline stage) inlines before profiling.")
 }

@@ -333,13 +333,26 @@ func (d *DAG) Encode(blocks []*ir.Block) (int64, error) {
 	return 0, fmt.Errorf("ballarus: %s is not a valid path end", last.Name)
 }
 
+// EdgeVal returns the Ball-Larus annotation of the CFG edge from->to (block
+// indices): the path-register increment and, for back edges, the flush and
+// the reset value. Edges outside the numbering (out of unreachable blocks)
+// get the zero annotation, which leaves the path register untouched.
+func (d *DAG) EdgeVal(from, to int) interp.BLEdge {
+	key := edgeKey{from, to}
+	if bi, ok := d.backVal[key]; ok {
+		return interp.BLEdge{Inc: bi.exitVal, Reset: bi.resetVal, Flush: true}
+	}
+	return interp.BLEdge{Inc: d.normVal[key]}
+}
+
+// ExitVal returns Val(b->EXIT) for a returning block b, and 0 for any other.
+func (d *DAG) ExitVal(b int) int64 { return d.retVal[b] }
+
 // CompilePlan overlays this DAG's path numbering onto a compiled execution
 // plan for the same function, producing the per-successor-slot edge
-// annotations interp.RunPlan consumes. The overlay is a separate object so
-// the structural Plan cached by the analysis manager stays immutable and
-// shareable. Edges absent from the numbering (out of unreachable blocks)
-// get a zero annotation, matching the hook-path behaviour of leaving the
-// path register untouched.
+// annotations interp.RunProfiled consumes. The overlay is a separate object
+// so the structural Plan cached by the analysis manager stays immutable and
+// shareable.
 func (d *DAG) CompilePlan(p *interp.Plan) *interp.BLPlan {
 	if p.F() != d.F {
 		panic("ballarus: CompilePlan called with a plan for a different function")
@@ -353,118 +366,12 @@ func (d *DAG) CompilePlan(p *interp.Plan) *interp.BLPlan {
 		RetVal:   make([]int64, n),
 	}
 	for i := 0; i < n; i++ {
-		if v, ok := d.retVal[i]; ok {
-			bl.RetVal[i] = v
-		}
+		bl.RetVal[i] = d.ExitVal(i)
 		for k := 0; k < p.NumSuccs(i); k++ {
-			key := edgeKey{i, p.Succ(i, k)}
-			if bi, ok := d.backVal[key]; ok {
-				bl.Succs[i][k] = interp.BLEdge{Inc: bi.exitVal, Reset: bi.resetVal, Flush: true}
-			} else if v, ok := d.normVal[key]; ok {
-				bl.Succs[i][k] = interp.BLEdge{Inc: v}
-			}
+			bl.Succs[i][k] = d.EdgeVal(i, p.Succ(i, k))
 		}
 	}
 	return bl
-}
-
-// Profiler accumulates a Ball-Larus path profile while a function executes.
-// Attach it to the interpreter via Hooks. A single Profiler may observe many
-// invocations of the same function.
-type Profiler struct {
-	dag *DAG
-
-	// Counts maps path ID to execution frequency.
-	Counts map[int64]int64
-	// Trace, when RecordTrace is set, is the sequence of completed path IDs
-	// in execution order (the "path trace" of Section IV-A).
-	Trace       []int64
-	RecordTrace bool
-	// OnPath, when non-nil, fires at every path completion with the path ID,
-	// letting the system simulator attribute costs to path occurrences.
-	OnPath func(id int64)
-
-	cur    int64
-	inside bool
-	// member is dense by Block.Index with an identity check: callee blocks
-	// carry their own (overlapping) index ranges, so the index alone is not
-	// enough, but the compare replaces a map lookup per event.
-	member []*ir.Block
-}
-
-// NewProfiler creates a profiler for the function described by dag.
-func NewProfiler(dag *DAG) *Profiler {
-	member := make([]*ir.Block, len(dag.F.Blocks))
-	for _, b := range dag.F.Blocks {
-		member[b.Index] = b
-	}
-	return &Profiler{dag: dag, Counts: make(map[int64]int64), member: member}
-}
-
-// isMember reports whether b belongs to the profiled function.
-func (p *Profiler) isMember(b *ir.Block) bool {
-	return b.Index < len(p.member) && p.member[b.Index] == b
-}
-
-// DAG returns the underlying path numbering.
-func (p *Profiler) DAG() *DAG { return p.dag }
-
-func (p *Profiler) record(id int64) {
-	p.Counts[id]++
-	if p.RecordTrace {
-		p.Trace = append(p.Trace, id)
-	}
-	if p.OnPath != nil {
-		p.OnPath(id)
-	}
-}
-
-// Hooks returns interpreter hooks that drive this profiler. The hooks only
-// react to blocks of the profiled function (membership-checked), so they are
-// safe to use even when other functions — callees included — run on the same
-// interpreter. Recursive invocations of the profiled function itself are not
-// supported; the pipeline inlines calls before profiling.
-func (p *Profiler) Hooks() *interp.Hooks {
-	f := p.dag.F
-	return &interp.Hooks{
-		Block: func(b *ir.Block) {
-			if !p.inside && b == f.Entry() {
-				p.inside = true
-				p.cur = p.dag.entryVal
-			}
-		},
-		Edge: func(from, to *ir.Block) {
-			if !p.inside || !p.isMember(from) {
-				return
-			}
-			if bi, ok := p.dag.backVal[edgeKey{from.Index, to.Index}]; ok {
-				p.record(p.cur + bi.exitVal)
-				p.cur = bi.resetVal
-				return
-			}
-			if v, ok := p.dag.normVal[edgeKey{from.Index, to.Index}]; ok {
-				p.cur += v
-			}
-		},
-		Exit: func(from *ir.Block) {
-			if !p.inside || !p.isMember(from) {
-				return
-			}
-			if v, ok := p.dag.retVal[from.Index]; ok {
-				p.record(p.cur + v)
-			}
-			p.inside = false
-		},
-	}
-}
-
-// TotalOccurrences returns the total number of recorded path executions.
-func (p *Profiler) TotalOccurrences() int64 {
-	var n int64
-	for _, c := range p.Counts {
-		n += c
-	}
-	return n
 }
 
 // PathOps returns the number of instructions attributed to one occurrence

@@ -161,34 +161,57 @@ func TestDecodeRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// profiler runs f's compiled plan under d's path numbering, accumulating
+// into one PathState across runs: the production profiling loop.
+type profiler struct {
+	plan *interp.Plan
+	bl   *interp.BLPlan
+	st   *interp.PathState
+}
+
+func newProfiler(d *DAG) *profiler {
+	plan := interp.BuildPlan(d.F)
+	return &profiler{plan, d.CompilePlan(plan), interp.NewPathState(plan, d.NumPaths(), true)}
+}
+
+func (p *profiler) run(n int64) (interp.Result, error) {
+	return interp.RunProfiled(p.plan, p.bl, []uint64{interp.IBits(n)}, nil, p.st, interp.PlanOpts{})
+}
+
+// occurrences returns the total recorded path executions, and the
+// instructions they account for.
+func (p *profiler) occurrences(t testing.TB, d *DAG) (occ, ops int64) {
+	p.st.EachPath(func(id, c int64) {
+		blocks, err := d.Decode(id)
+		if err != nil {
+			t.Fatalf("Decode(%d): %v", id, err)
+		}
+		occ += c
+		ops += c * PathOps(blocks)
+	})
+	return occ, ops
+}
+
 func TestProfilerCountsMatchExecution(t *testing.T) {
 	f := parse(t, loopDiamondSrc)
 	d, err := Build(nil, f)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	p := NewProfiler(d)
-	p.RecordTrace = true
-	res, err := interp.Run(f, []uint64{interp.IBits(6)}, nil, p.Hooks(), 0)
+	p := newProfiler(d)
+	res, err := p.run(6)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	// 6 iterations + 1 exit path = 7 path occurrences.
-	if got := p.TotalOccurrences(); got != 7 {
-		t.Fatalf("occurrences = %d, want 7", got)
+	// 6 iterations + 1 exit path = 7 path occurrences. Every counted path
+	// must decode, and attributed ops must sum exactly to the dynamic step
+	// count (paths partition execution).
+	occ, ops := p.occurrences(t, d)
+	if occ != 7 {
+		t.Fatalf("occurrences = %d, want 7", occ)
 	}
-	if len(p.Trace) != 7 {
-		t.Fatalf("trace length = %d, want 7", len(p.Trace))
-	}
-	// Every counted path must decode, and attributed ops must sum exactly to
-	// the interpreter's dynamic step count (paths partition execution).
-	var ops int64
-	for id, c := range p.Counts {
-		blocks, err := d.Decode(id)
-		if err != nil {
-			t.Fatalf("Decode(%d): %v", id, err)
-		}
-		ops += c * PathOps(blocks)
+	if len(p.st.Trace) != 7 {
+		t.Fatalf("trace length = %d, want 7", len(p.st.Trace))
 	}
 	if ops != res.Steps {
 		t.Fatalf("attributed ops = %d, interpreter steps = %d", ops, res.Steps)
@@ -206,20 +229,13 @@ func TestProfilerPartitionProperty(t *testing.T) {
 	}
 	check := func(nRaw uint8) bool {
 		n := int64(nRaw % 50)
-		p := NewProfiler(d)
-		res, err := interp.Run(f, []uint64{interp.IBits(n)}, nil, p.Hooks(), 0)
+		p := newProfiler(d)
+		res, err := p.run(n)
 		if err != nil {
 			return false
 		}
-		var ops int64
-		for id, c := range p.Counts {
-			blocks, err := d.Decode(id)
-			if err != nil {
-				return false
-			}
-			ops += c * PathOps(blocks)
-		}
-		return ops == res.Steps && p.TotalOccurrences() == n+1
+		occ, ops := p.occurrences(t, d)
+		return ops == res.Steps && occ == n+1
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
@@ -232,13 +248,13 @@ func TestProfilerMultipleInvocations(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	p := NewProfiler(d)
+	p := newProfiler(d)
 	for i := 0; i < 3; i++ {
-		if _, err := interp.Run(f, []uint64{interp.IBits(4)}, nil, p.Hooks(), 0); err != nil {
-			t.Fatalf("Run: %v", err)
+		if _, err := p.run(4); err != nil {
+			t.Fatalf("run: %v", err)
 		}
 	}
-	if got := p.TotalOccurrences(); got != 15 { // 3 * (4 iterations + exit)
+	if got, _ := p.occurrences(t, d); got != 15 { // 3 * (4 iterations + exit)
 		t.Fatalf("occurrences = %d, want 15", got)
 	}
 }

@@ -20,9 +20,9 @@ func analyze(t testing.TB, name string, n int) *Analysis {
 	}
 	cfg := DefaultConfig()
 	cfg.N = n
-	a, err := Analyze(w, cfg)
+	a, err := New().RunWorkload(context.Background(), w, cfg)
 	if err != nil {
-		t.Fatalf("Analyze(%s): %v", name, err)
+		t.Fatalf("RunWorkload(%s): %v", name, err)
 	}
 	return a
 }
@@ -102,7 +102,7 @@ func TestSelectionNeverDegrades(t *testing.T) {
 
 func TestDefaultConfigFillsZeroValue(t *testing.T) {
 	w := workloads.ByName("482.sphinx3")
-	a, err := Analyze(w, Config{N: 800})
+	a, err := New().RunWorkload(context.Background(), w, Config{N: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestConfigNormalizationKeepsCallerFields(t *testing.T) {
 	custom.HistBits = 4
 	custom.OOO.Width = 2
 	w := workloads.ByName("164.gzip")
-	a, err := Analyze(w, Config{Sim: custom, N: 900})
+	a, err := New().RunWorkload(context.Background(), w, Config{Sim: custom, N: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestAnalyzeAllCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	as, err := AnalyzeAllCtx(ctx, Config{N: 600}, Options{Jobs: 2})
+	as, err := New(WithJobs(2)).RunAll(ctx, Config{N: 600})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v (results %v)", err, as != nil)
 	}
@@ -148,7 +148,7 @@ func TestAnalyzeAllCtxCancellation(t *testing.T) {
 		t.Fatalf("cancellation not prompt: took %v", elapsed)
 	}
 	// Serial path honors cancellation too.
-	if _, err := AnalyzeAllCtx(ctx, Config{N: 600}, Options{Jobs: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := New(WithJobs(1)).RunAll(ctx, Config{N: 600}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("serial path: want context.Canceled, got %v", err)
 	}
 }
@@ -161,7 +161,7 @@ func TestAnalyzeAllCtxMidSweepCancel(t *testing.T) {
 		cancel()
 		close(done)
 	}()
-	_, err := AnalyzeAllCtx(ctx, Config{N: 1200}, Options{Jobs: 2})
+	_, err := New(WithJobs(2)).RunAll(ctx, Config{N: 1200})
 	<-done
 	// Either the sweep finished before the cancel landed (nil) or it must
 	// report context.Canceled — never a partial, unexplained result.
@@ -193,7 +193,7 @@ func TestObservabilitySpansAndCounters(t *testing.T) {
 		obs.Reset()
 	}()
 	obs.Reset()
-	if _, err := AnalyzeAllCtx(context.Background(), Config{N: 1500}, Options{Jobs: 2}); err != nil {
+	if _, err := New(WithJobs(2)).RunAll(context.Background(), Config{N: 1500}); err != nil {
 		t.Fatal(err)
 	}
 	names := make(map[string]int)

@@ -1,7 +1,9 @@
-// Package interp executes IR functions and exposes the profiling hooks the
-// Needle pipeline consumes (block, edge, and instruction events). It plays
-// the role the natively-executed, instrumented binary plays in the original
-// LLVM-based system: the source of dynamic profiles.
+// Package interp executes IR functions. It plays the role the natively
+// executed, instrumented binary plays in the original LLVM-based system:
+// the source of dynamic profiles. Execution always goes through a compiled
+// Plan (plan.go): RunProfiled is the profiling run the pipeline captures,
+// Exec the plain run the tools and examples use, and both share one
+// opcode-dispatch loop.
 package interp
 
 import (
@@ -10,44 +12,19 @@ import (
 	"math"
 
 	"needle/internal/ir"
-	"needle/internal/obs"
 )
 
-// Observability counters (no-ops until obs.Enable): dynamic instructions and
-// run counts, split by execution path. The fast-path counters live in
-// plan.go's RunProfiled; together they answer "how much execution went
-// through the compiled plans versus the general hook interpreter".
-var (
-	obsHookRuns   = obs.GetCounter("interp.runs.hook")
-	obsHookInstrs = obs.GetCounter("interp.instrs.hook")
-)
-
-// Errors returned by Run.
+// Errors returned by Exec and RunProfiled.
 var (
 	ErrDivideByZero = errors.New("interp: integer divide by zero")
 	ErrOutOfBounds  = errors.New("interp: memory access out of bounds")
 	ErrStepLimit    = errors.New("interp: step limit exceeded")
+	// ErrTimedCall rejects a timed or history-tracked run of a function
+	// that still contains calls: callees run unprofiled, so a host timing
+	// model would see a partial instruction stream. The pipeline inlines
+	// before capture, so only raw call-bearing functions hit it.
+	ErrTimedCall = errors.New("interp: timed run of a call-bearing function")
 )
-
-// Hooks receives dynamic execution events. Any field may be nil. Events fire
-// in program order: Block when control enters a block (including the entry
-// block), Edge on every control transfer between blocks (before the Block
-// event of the target), Instr after each executed instruction (terminators
-// included), and Exit when the function returns, identifying the returning
-// block.
-type Hooks struct {
-	Block func(b *ir.Block)
-	Edge  func(from, to *ir.Block)
-	Instr func(in *ir.Instr)
-	Exit  func(from *ir.Block)
-	// Store fires just before a store commits, exposing the old value so a
-	// speculation runtime can maintain an undo log.
-	Store func(in *ir.Instr, addr int64, old, new uint64)
-	// Mem fires for every load and store, just before the Instr event of the
-	// same operation, exposing the effective word address for cache and
-	// timing models.
-	Mem func(in *ir.Instr, addr int64)
-}
 
 // Result summarizes one execution.
 type Result struct {
@@ -73,184 +50,21 @@ const maxCallDepth = 256
 // ErrCallDepth is returned when call nesting exceeds maxCallDepth.
 var ErrCallDepth = errors.New("interp: call depth exceeded")
 
-// Run executes f with the given arguments over mem, firing hooks, bounded by
-// maxSteps dynamic instructions (<= 0 means a generous default of 1<<32).
-// Argument and return values are raw 64-bit patterns; use F/FBits for
-// float parameters. Calls execute recursively; hook events fire for callee
-// blocks and instructions too, so per-function consumers (like the
-// Ball-Larus profiler) filter by block membership.
-func Run(f *ir.Function, args []uint64, mem []uint64, hooks *Hooks, maxSteps int64) (Result, error) {
-	if maxSteps <= 0 {
-		maxSteps = 1 << 32
-	}
-	if hooks == nil {
-		hooks = &Hooks{}
-	}
-	ex := &executor{mem: mem, hooks: hooks, maxSteps: maxSteps}
-	ret, err := ex.exec(f, args, 0)
-	obsHookRuns.Add(1)
-	obsHookInstrs.Add(ex.steps)
-	return Result{Ret: ret, Steps: ex.steps}, err
-}
-
-// executor carries the state shared across nested calls.
-type executor struct {
-	mem      []uint64
-	hooks    *Hooks
-	maxSteps int64
-	steps    int64
-}
-
-func (ex *executor) exec(f *ir.Function, args []uint64, depth int) (uint64, error) {
-	if depth > maxCallDepth {
-		return 0, fmt.Errorf("%w in %s", ErrCallDepth, f.Name)
-	}
-	if len(args) != f.NumParams() {
-		return 0, fmt.Errorf("interp: %s wants %d args, got %d", f.Name, f.NumParams(), len(args))
-	}
-	hooks := ex.hooks
-	mem := ex.mem
-	regs := make([]uint64, len(f.RegType))
-	for i, a := range args {
-		regs[f.Param(i)] = a
-	}
-
-	cur := f.Entry()
-	var prev *ir.Block
-	if hooks.Block != nil {
-		hooks.Block(cur)
-	}
-	// phiTmp buffers phi reads so that all incoming values are read before
-	// any phi destination is written (parallel-copy semantics).
-	var phiTmp []uint64
-
-	for {
-		// Resolve phis relative to the predecessor we arrived from.
-		phis := cur.Phis()
-		if len(phis) > 0 {
-			phiTmp = phiTmp[:0]
-			for _, phi := range phis {
-				idx := -1
-				for i, from := range phi.Blocks {
-					if from == prev {
-						idx = i
-						break
-					}
-				}
-				if idx < 0 {
-					return 0, fmt.Errorf("interp: %s.%s: phi %s has no incoming edge from %s",
-						f.Name, cur.Name, phi.Dst, prev)
-				}
-				phiTmp = append(phiTmp, regs[phi.Args[idx]])
-			}
-			for i, phi := range phis {
-				regs[phi.Dst] = phiTmp[i]
-				ex.steps++
-				if ex.steps > ex.maxSteps {
-					return 0, fmt.Errorf("%w (limit %d) in %s", ErrStepLimit, ex.maxSteps, f.Name)
-				}
-				if hooks.Instr != nil {
-					hooks.Instr(phi)
-				}
-			}
-		}
-
-		for _, in := range cur.Instrs[len(phis):] {
-			ex.steps++
-			if ex.steps > ex.maxSteps {
-				return 0, fmt.Errorf("%w (limit %d) in %s", ErrStepLimit, ex.maxSteps, f.Name)
-			}
-			switch in.Op {
-			case ir.OpBr:
-				if hooks.Instr != nil {
-					hooks.Instr(in)
-				}
-				next := in.Blocks[0]
-				if hooks.Edge != nil {
-					hooks.Edge(cur, next)
-				}
-				prev, cur = cur, next
-				if hooks.Block != nil {
-					hooks.Block(cur)
-				}
-			case ir.OpCondBr:
-				if hooks.Instr != nil {
-					hooks.Instr(in)
-				}
-				next := in.Blocks[1]
-				if regs[in.Args[0]] != 0 {
-					next = in.Blocks[0]
-				}
-				if hooks.Edge != nil {
-					hooks.Edge(cur, next)
-				}
-				prev, cur = cur, next
-				if hooks.Block != nil {
-					hooks.Block(cur)
-				}
-			case ir.OpRet:
-				if hooks.Instr != nil {
-					hooks.Instr(in)
-				}
-				var ret uint64
-				if len(in.Args) == 1 {
-					ret = regs[in.Args[0]]
-				}
-				if hooks.Exit != nil {
-					hooks.Exit(cur)
-				}
-				return ret, nil
-			case ir.OpCall:
-				callArgs := make([]uint64, len(in.Args))
-				for i, a := range in.Args {
-					callArgs[i] = regs[a]
-				}
-				if hooks.Instr != nil {
-					hooks.Instr(in)
-				}
-				v, err := ex.exec(in.Callee, callArgs, depth+1)
-				if err != nil {
-					return 0, err
-				}
-				regs[in.Dst] = v
-			default:
-				if in.Op.IsMemory() {
-					addr := int64(regs[in.Args[0]])
-					if in.Op == ir.OpStore && hooks.Store != nil && addr >= 0 && addr < int64(len(mem)) {
-						hooks.Store(in, addr, mem[addr], regs[in.Args[1]])
-					}
-					if hooks.Mem != nil {
-						hooks.Mem(in, addr)
-					}
-				}
-				v, err := eval(in, regs, mem)
-				if err != nil {
-					return 0, fmt.Errorf("%w in %s.%s", err, f.Name, cur.Name)
-				}
-				if in.Op.HasDest() {
-					regs[in.Dst] = v
-				}
-				if hooks.Instr != nil {
-					hooks.Instr(in)
-				}
-			}
-			if in.Op.IsTerminator() {
-				break
-			}
-		}
-	}
+// Exec executes f with the given arguments over mem, bounded by maxSteps
+// dynamic instructions (<= 0 means a generous default of 1<<32), without
+// collecting a profile. Argument and return values are raw 64-bit patterns;
+// use F/FBits for float parameters. Calls execute to completion under the
+// caller's step budget, nested at most maxCallDepth deep.
+func Exec(f *ir.Function, args []uint64, mem []uint64, maxSteps int64) (Result, error) {
+	p := BuildPlan(f)
+	return RunProfiled(p, p.quiet, args, mem, NewPathState(p, 1, false), PlanOpts{MaxSteps: maxSteps})
 }
 
 // Eval executes one non-control instruction against a register file and
 // memory, returning the raw result bits. It is the single-instruction
-// building block reused by the speculation runtime's frame executor.
+// building block of the plans' rare-opcode path, the speculation runtime's
+// frame executor, and the reference interpreter.
 func Eval(in *ir.Instr, regs []uint64, mem []uint64) (uint64, error) {
-	return eval(in, regs, mem)
-}
-
-// eval executes one non-control instruction against the register file and
-// memory, returning the raw result bits.
-func eval(in *ir.Instr, regs []uint64, mem []uint64) (uint64, error) {
 	a := func(i int) uint64 { return regs[in.Args[i]] }
 	ai := func(i int) int64 { return int64(regs[in.Args[i]]) }
 	af := func(i int) float64 { return math.Float64frombits(regs[in.Args[i]]) }
@@ -356,194 +170,4 @@ func eval(in *ir.Instr, regs []uint64, mem []uint64) (uint64, error) {
 		return 0, nil
 	}
 	return 0, fmt.Errorf("interp: unhandled opcode %s", in.Op)
-}
-
-// CombineHooks merges several hook sets into one; each event fans out to
-// every non-nil handler in order. Nil entries are skipped.
-func CombineHooks(hooks ...*Hooks) *Hooks {
-	out := &Hooks{}
-	var blocks []func(*ir.Block)
-	var edges []func(*ir.Block, *ir.Block)
-	var instrs []func(*ir.Instr)
-	var exits []func(*ir.Block)
-	var stores []func(*ir.Instr, int64, uint64, uint64)
-	var mems []func(*ir.Instr, int64)
-	for _, h := range hooks {
-		if h == nil {
-			continue
-		}
-		if h.Store != nil {
-			stores = append(stores, h.Store)
-		}
-		if h.Mem != nil {
-			mems = append(mems, h.Mem)
-		}
-		if h.Block != nil {
-			blocks = append(blocks, h.Block)
-		}
-		if h.Edge != nil {
-			edges = append(edges, h.Edge)
-		}
-		if h.Instr != nil {
-			instrs = append(instrs, h.Instr)
-		}
-		if h.Exit != nil {
-			exits = append(exits, h.Exit)
-		}
-	}
-	if len(blocks) > 0 {
-		out.Block = func(b *ir.Block) {
-			for _, fn := range blocks {
-				fn(b)
-			}
-		}
-	}
-	if len(edges) > 0 {
-		out.Edge = func(from, to *ir.Block) {
-			for _, fn := range edges {
-				fn(from, to)
-			}
-		}
-	}
-	if len(instrs) > 0 {
-		out.Instr = func(in *ir.Instr) {
-			for _, fn := range instrs {
-				fn(in)
-			}
-		}
-	}
-	if len(exits) > 0 {
-		out.Exit = func(b *ir.Block) {
-			for _, fn := range exits {
-				fn(b)
-			}
-		}
-	}
-	if len(stores) > 0 {
-		out.Store = func(in *ir.Instr, addr int64, old, new uint64) {
-			for _, fn := range stores {
-				fn(in, addr, old, new)
-			}
-		}
-	}
-	if len(mems) > 0 {
-		out.Mem = func(in *ir.Instr, addr int64) {
-			for _, fn := range mems {
-				fn(in, addr)
-			}
-		}
-	}
-	return out
-}
-
-// StepBlock executes exactly one basic block — phi resolution against prev,
-// the body, and the terminator — mutating regs and mem. It returns the
-// successor block, or returned=true with the return bits when the block
-// ends in ret. Calls inside the block execute to completion recursively.
-//
-// StepBlock is the building block for drivers that interleave host
-// execution with accelerator frames (sim.FunctionalOffload): the driver
-// owns the program counter and can hand whole regions to a frame executor
-// between steps. Hooks fire Edge/Exit events (no Block/Instr events, which
-// block-level drivers do not need).
-func StepBlock(f *ir.Function, cur, prev *ir.Block, regs, mem []uint64, hooks *Hooks) (next *ir.Block, ret uint64, returned bool, err error) {
-	var bx BlockExec
-	return bx.Step(f, cur, prev, regs, mem, hooks)
-}
-
-// BlockExec holds the scratch buffers StepBlock needs, so drivers that step
-// many blocks (sim.FunctionalOffload) reuse one allocation instead of
-// allocating a phi temp slice and call-argument slice per block. The zero
-// value is ready to use; a BlockExec must not be shared across goroutines.
-type BlockExec struct {
-	phiTmp   []uint64
-	callArgs []uint64
-}
-
-// Step executes exactly one basic block with the semantics of StepBlock,
-// reusing the BlockExec's scratch buffers.
-func (bx *BlockExec) Step(f *ir.Function, cur, prev *ir.Block, regs, mem []uint64, hooks *Hooks) (next *ir.Block, ret uint64, returned bool, err error) {
-	if hooks == nil {
-		hooks = &Hooks{}
-	}
-	phis := cur.Phis()
-	if len(phis) > 0 {
-		tmp := bx.phiTmp
-		if cap(tmp) < len(phis) {
-			tmp = make([]uint64, len(phis))
-			bx.phiTmp = tmp
-		} else {
-			tmp = tmp[:len(phis)]
-		}
-		for i, phi := range phis {
-			idx := -1
-			for k, from := range phi.Blocks {
-				if from == prev {
-					idx = k
-					break
-				}
-			}
-			if idx < 0 {
-				return nil, 0, false, fmt.Errorf("interp: %s.%s: phi %s has no incoming edge from %v",
-					f.Name, cur.Name, phi.Dst, prev)
-			}
-			tmp[i] = regs[phi.Args[idx]]
-		}
-		for i, phi := range phis {
-			regs[phi.Dst] = tmp[i]
-		}
-	}
-	for _, in := range cur.Instrs[len(phis):] {
-		switch in.Op {
-		case ir.OpBr:
-			nb := in.Blocks[0]
-			if hooks.Edge != nil {
-				hooks.Edge(cur, nb)
-			}
-			return nb, 0, false, nil
-		case ir.OpCondBr:
-			nb := in.Blocks[1]
-			if regs[in.Args[0]] != 0 {
-				nb = in.Blocks[0]
-			}
-			if hooks.Edge != nil {
-				hooks.Edge(cur, nb)
-			}
-			return nb, 0, false, nil
-		case ir.OpRet:
-			var v uint64
-			if len(in.Args) == 1 {
-				v = regs[in.Args[0]]
-			}
-			if hooks.Exit != nil {
-				hooks.Exit(cur)
-			}
-			return nil, v, true, nil
-		case ir.OpCall:
-			callArgs := bx.callArgs
-			if cap(callArgs) < len(in.Args) {
-				callArgs = make([]uint64, len(in.Args))
-				bx.callArgs = callArgs
-			} else {
-				callArgs = callArgs[:len(in.Args)]
-			}
-			for i, a := range in.Args {
-				callArgs[i] = regs[a]
-			}
-			res, err := Run(in.Callee, callArgs, mem, nil, 0)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			regs[in.Dst] = res.Ret
-		default:
-			v, err := eval(in, regs, mem)
-			if err != nil {
-				return nil, 0, false, fmt.Errorf("%w in %s.%s", err, f.Name, cur.Name)
-			}
-			if in.Op.HasDest() {
-				regs[in.Dst] = v
-			}
-		}
-	}
-	return nil, 0, false, fmt.Errorf("interp: %s.%s: block fell off the end", f.Name, cur.Name)
 }

@@ -57,7 +57,7 @@ func buildSumLoop(t testing.TB) *ir.Function {
 
 func TestRunSumLoop(t *testing.T) {
 	f := buildSumLoop(t)
-	res, err := Run(f, []uint64{IBits(10)}, nil, nil, 0)
+	res, err := Exec(f, []uint64{IBits(10)}, nil, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestRunSumLoop(t *testing.T) {
 func TestRunSumLoopProperty(t *testing.T) {
 	f := buildSumLoop(t)
 	check := func(n uint8) bool {
-		res, err := Run(f, []uint64{IBits(int64(n))}, nil, nil, 0)
+		res, err := Exec(f, []uint64{IBits(int64(n))}, nil, 0)
 		if err != nil {
 			return false
 		}
@@ -94,7 +94,7 @@ entry:
 }
 `
 	f := parse(t, src)
-	res, err := Run(f, []uint64{FBits(3), FBits(4)}, nil, nil, 0)
+	res, err := Exec(f, []uint64{FBits(3), FBits(4)}, nil, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -126,7 +126,7 @@ exit:
 `
 	f := parse(t, src)
 	mem := []uint64{IBits(2), IBits(3), IBits(4)}
-	if _, err := Run(f, []uint64{IBits(0), IBits(3)}, mem, nil, 0); err != nil {
+	if _, err := Exec(f, []uint64{IBits(0), IBits(3)}, mem, 0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	want := []int64{4, 9, 16}
@@ -145,7 +145,7 @@ entry:
 }
 `
 	f := parse(t, divSrc)
-	if _, err := Run(f, []uint64{IBits(1), IBits(0)}, nil, nil, 0); !errors.Is(err, ErrDivideByZero) {
+	if _, err := Exec(f, []uint64{IBits(1), IBits(0)}, nil, 0); !errors.Is(err, ErrDivideByZero) {
 		t.Errorf("want ErrDivideByZero, got %v", err)
 	}
 
@@ -156,59 +156,20 @@ entry:
 }
 `
 	g := parse(t, oobSrc)
-	if _, err := Run(g, []uint64{IBits(99)}, make([]uint64, 4), nil, 0); !errors.Is(err, ErrOutOfBounds) {
+	if _, err := Exec(g, []uint64{IBits(99)}, make([]uint64, 4), 0); !errors.Is(err, ErrOutOfBounds) {
 		t.Errorf("want ErrOutOfBounds, got %v", err)
 	}
-	if _, err := Run(g, []uint64{IBits(-1)}, make([]uint64, 4), nil, 0); !errors.Is(err, ErrOutOfBounds) {
+	if _, err := Exec(g, []uint64{IBits(-1)}, make([]uint64, 4), 0); !errors.Is(err, ErrOutOfBounds) {
 		t.Errorf("negative address: want ErrOutOfBounds, got %v", err)
 	}
 
 	loop := buildSumLoop(t)
-	if _, err := Run(loop, []uint64{IBits(1 << 40)}, nil, nil, 100); !errors.Is(err, ErrStepLimit) {
+	if _, err := Exec(loop, []uint64{IBits(1 << 40)}, nil, 100); !errors.Is(err, ErrStepLimit) {
 		t.Errorf("want ErrStepLimit, got %v", err)
 	}
 
-	if _, err := Run(loop, nil, nil, nil, 0); err == nil {
+	if _, err := Exec(loop, nil, nil, 0); err == nil {
 		t.Error("want arity error")
-	}
-}
-
-func TestHooksFireInOrder(t *testing.T) {
-	f := buildSumLoop(t)
-	var blocks []string
-	var edges []string
-	var instrs int
-	exited := ""
-	hooks := &Hooks{
-		Block: func(b *ir.Block) { blocks = append(blocks, b.Name) },
-		Edge:  func(from, to *ir.Block) { edges = append(edges, from.Name+"->"+to.Name) },
-		Instr: func(in *ir.Instr) { instrs++ },
-		Exit:  func(b *ir.Block) { exited = b.Name },
-	}
-	res, err := Run(f, []uint64{IBits(2)}, nil, hooks, 0)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	wantBlocks := []string{"entry", "head", "body", "head", "body", "head", "exit"}
-	if len(blocks) != len(wantBlocks) {
-		t.Fatalf("blocks = %v, want %v", blocks, wantBlocks)
-	}
-	for i := range blocks {
-		if blocks[i] != wantBlocks[i] {
-			t.Fatalf("blocks = %v, want %v", blocks, wantBlocks)
-		}
-	}
-	if len(edges) != len(wantBlocks)-1 {
-		t.Fatalf("edges = %v", edges)
-	}
-	if edges[0] != "entry->head" || edges[len(edges)-1] != "head->exit" {
-		t.Fatalf("edges = %v", edges)
-	}
-	if int64(instrs) != res.Steps {
-		t.Fatalf("instr hook fired %d times, steps = %d", instrs, res.Steps)
-	}
-	if exited != "exit" {
-		t.Fatalf("exit block = %q", exited)
 	}
 }
 
@@ -226,14 +187,14 @@ entry:
 }
 `
 	f := parse(t, src)
-	res, err := Run(f, []uint64{IBits(20)}, nil, nil, 0)
+	res, err := Exec(f, []uint64{IBits(20)}, nil, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if I(res.Ret) != 50 {
 		t.Fatalf("sel(20) = %d, want 50", I(res.Ret))
 	}
-	res, err = Run(f, []uint64{IBits(3)}, nil, nil, 0)
+	res, err = Exec(f, []uint64{IBits(3)}, nil, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -254,7 +215,7 @@ entry:
 	f := parse(t, src)
 	// a&b ^ a|b == a^b for all a, b.
 	check := func(x, y int64) bool {
-		res, err := Run(f, []uint64{IBits(x), IBits(y)}, nil, nil, 0)
+		res, err := Exec(f, []uint64{IBits(x), IBits(y)}, nil, 0)
 		return err == nil && I(res.Ret) == x^y
 	}
 	if err := quick.Check(check, nil); err != nil {
@@ -282,7 +243,7 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(m.Func("main"), []uint64{IBits(3)}, nil, nil, 0)
+	res, err := Exec(m.Func("main"), []uint64{IBits(3)}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,34 +262,7 @@ func TestCallDepthLimit(t *testing.T) {
 	}
 	f.Blocks = []*ir.Block{blk}
 	f.Finish()
-	if _, err := Run(f, []uint64{0}, nil, nil, 0); !errors.Is(err, ErrCallDepth) {
+	if _, err := Exec(f, []uint64{0}, nil, 0); !errors.Is(err, ErrCallDepth) {
 		t.Fatalf("want ErrCallDepth, got %v", err)
-	}
-}
-
-func TestCallHooksFireForCallee(t *testing.T) {
-	src := `func @id(i64) {
-entry:
-  ret r1
-}
-
-func @main(i64) {
-entry:
-  r2 = call.i64 @id r1
-  ret r2
-}
-`
-	m, err := ir.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blocks []string
-	hooks := &Hooks{Block: func(b *ir.Block) { blocks = append(blocks, b.Name) }}
-	if _, err := Run(m.Func("main"), []uint64{IBits(7)}, nil, hooks, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Both functions' entry blocks fire (same name, two functions).
-	if len(blocks) != 2 {
-		t.Fatalf("block events = %v, want 2 entries", blocks)
 	}
 }

@@ -1,4 +1,4 @@
-// Timing packets: the per-block half of the batched capture fast path. A
+// Timing packets: the per-block half of the batched capture feed. A
 // packet is the timing model's view of one planned basic block — opcode,
 // unit class, destination register, and source registers of every dynamic
 // instruction the block issues (phi-move prefix, body, terminator) — laid
@@ -134,16 +134,18 @@ func compactPackets(pks []*TimingPacket) {
 	}
 }
 
-// BlockTiming is a Timing that can consume a whole planned block in one
-// call. The batched capture loop prefers it over per-instruction Feed;
-// *ooo.Model implements it, and the hooked per-instruction path remains the
-// equivalence oracle (feeding a packet must be indistinguishable from
-// feeding its instructions sequentially).
-type BlockTiming interface {
-	Timing
+// Timing consumes the dynamic instruction stream of a planned run one
+// block at a time, the host timing model's feed. *ooo.Model implements it;
+// feeding a packet must be indistinguishable from feeding its instructions
+// one by one through the model's per-instruction Feed (the equivalence the
+// ooo tests pin).
+type Timing interface {
 	// FeedBlock schedules the first n entries of the packet. addrs holds the
 	// effective word addresses of the memory entries among them, in entry
 	// order (extra trailing addresses are ignored, which lets a partial feed
 	// after a faulting memory op reuse the caller's scratch as-is).
 	FeedBlock(pk *TimingPacket, n int, addrs []int64)
+	// NoteBranch reports a conditional branch outcome, after the branch's
+	// block has been fed.
+	NoteBranch(taken bool)
 }

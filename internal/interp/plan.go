@@ -1,15 +1,16 @@
 // Compiled execution plans: a per-function "plan" precomputes everything the
 // interpreter's inner loop otherwise rediscovers on every iteration — phi
 // move tables per (predecessor, block) pair, flattened per-block instruction
-// arrays, and dense successor-slot tables — so the profiling fast path
-// (RunProfiled) can collect block counts, edge counts, Ball-Larus path counts,
-// and the path trace by direct array increments with zero hook closures.
+// arrays, and dense successor-slot tables — so the one dispatch loop
+// (RunProfiled, and Exec on top of it) collects block counts, edge counts,
+// Ball-Larus path counts, and the path trace by direct array increments
+// with zero hook closures.
 //
 // The plan plays the role the instrumented binary plays in the original
 // Needle system: the Ball-Larus instrumentation is "a handful of adds per
 // edge", and the plan brings the reproduction's profiling cost to the same
-// shape. The hook-based Run remains the fully-general slow path and the
-// differential-testing oracle (see profile's fast-path property tests).
+// shape. A hook-driven reference interpreter lives in the test-only
+// interpref package; the differential tests pin the plan against it.
 package interp
 
 import (
@@ -20,8 +21,8 @@ import (
 	"needle/internal/obs"
 )
 
-// Fast-path observability counters, the complement of interp.go's hook-path
-// pair. One Add per run keeps the profiled inner loop untouched.
+// Observability counters (no-ops until obs.Enable). One Add per run keeps
+// the inner loop untouched.
 var (
 	obsFastRuns   = obs.GetCounter("interp.runs.fast")
 	obsFastInstrs = obs.GetCounter("interp.instrs.fast")
@@ -58,24 +59,23 @@ type planSucc struct {
 
 // planBlock is the flattened form of one basic block.
 type planBlock struct {
-	phis []*ir.Instr // phi prefix (kept for timing-model feeds)
+	phis []*ir.Instr // phi prefix (kept for timing packets)
 	body []*ir.Instr // non-phi, non-terminator instructions
 	term *ir.Instr   // the terminator
 	// moves[predSlot] lists the phi assignments to perform when control
 	// arrives from the predSlot-th unique predecessor. A nil entry for a
-	// block with phis reproduces the interpreter's missing-edge error.
+	// block with phis reports the missing-edge error on traversal.
 	moves   [][]phiMove
 	succs   [2]planSucc
 	kind    uint8
 	condReg ir.Reg // condition register for termCond
 	retReg  ir.Reg // returned register for termRet (NoReg for void)
 	// packet is the block's precompiled timing packet (phi prefix, body,
-	// terminator in feed order); built for runnable plans only.
+	// terminator in feed order).
 	packet *TimingPacket
 	// code mirrors body as dense records (opcode, registers, immediate) so
-	// the fast-path dispatch reads one contiguous struct per instruction
-	// instead of chasing an *ir.Instr and its Args slice; built for
-	// runnable plans only, backed by a per-plan arena.
+	// the dispatch reads one contiguous struct per instruction instead of
+	// chasing an *ir.Instr and its Args slice; backed by a per-plan arena.
 	code []execEntry
 }
 
@@ -90,13 +90,27 @@ type Plan struct {
 	edgeTo   []int32       // dense edge slot -> target block index
 	maxPhis  int
 	maxMem   int // most memory ops in any one block (address-scratch size)
-	runnable bool
+	// entrySlot is the predecessor slot execution starts from: a nil
+	// pseudo-predecessor of the entry block, so entry phis (which can have
+	// no incoming value for "no predecessor") fail on arrival exactly as
+	// any other missing phi edge does.
+	entrySlot int32
+	// callees holds the plans of called functions, indexed by the imm field
+	// of a call's execEntry; quiet is this plan's all-zero Ball-Larus
+	// overlay (every path ID is 0), which unprofiled runs — callees and
+	// Exec — count against.
+	callees []*Plan
+	quiet   *BLPlan
+	// err reports a shape no verified function has (no blocks, a block
+	// without a terminator, an interior terminator, an unresolved call);
+	// every run of the plan fails with it.
+	err error
 }
 
-// execEntry is one body instruction flattened for the fast-path dispatch:
-// opcode, destination, up to three argument registers, and the immediate,
-// in 32 contiguous bytes. Rare opcodes still consult the original
-// *ir.Instr (the eval fallback needs it), but the hot switch never does.
+// execEntry is one body instruction flattened for the dispatch: opcode,
+// destination, up to three argument registers, and the immediate, in 32
+// contiguous bytes. Rare opcodes still consult the original *ir.Instr (the
+// Eval fallback and calls need it), but the hot switch never does.
 type execEntry struct {
 	op         ir.Op
 	dst        int32
@@ -104,20 +118,26 @@ type execEntry struct {
 	imm        int64
 }
 
-// BuildPlan compiles f into a Plan. Building always succeeds; Runnable
-// reports whether the fast path may execute it (call-free, verified shape).
+// BuildPlan compiles f — and, transitively, every function it calls — into
+// a Plan. Building always succeeds; a malformed function yields a plan whose
+// runs fail with a descriptive error.
 func BuildPlan(f *ir.Function) *Plan {
+	return buildPlan(f, make(map[*ir.Function]*Plan))
+}
+
+// buildPlan compiles f, sharing plans through built so recursive call
+// graphs close into cycles of plans instead of recursing forever.
+func buildPlan(f *ir.Function, built map[*ir.Function]*Plan) *Plan {
 	obsPlanBuilds.Add(1)
-	p := &Plan{f: f, runnable: true}
+	p := &Plan{f: f, quiet: &BLPlan{
+		NumPaths: 1,
+		Succs:    make([][2]BLEdge, len(f.Blocks)),
+		RetVal:   make([]int64, len(f.Blocks)),
+	}}
+	built[f] = p
 	if len(f.Blocks) == 0 {
-		p.runnable = false
+		p.err = fmt.Errorf("interp: %s has no blocks", f.Name)
 		return p
-	}
-	// The fast path resolves entry phis against no predecessor, which the
-	// general interpreter reports as a runtime error; decline such plans so
-	// callers keep the hook path's behaviour.
-	if len(f.Entry().Phis()) > 0 {
-		p.runnable = false
 	}
 	p.blocks = make([]planBlock, len(f.Blocks))
 	p.preds = make([][]*ir.Block, len(f.Blocks))
@@ -132,6 +152,9 @@ func BuildPlan(f *ir.Function) *Plan {
 			}
 		}
 	}
+	// Execution enters the entry block from no predecessor at all.
+	p.entrySlot = int32(len(p.preds[0]))
+	p.preds[0] = append(p.preds[0], nil)
 	predSlotOf := func(to *ir.Block, from *ir.Block) int32 {
 		for k, pr := range p.preds[to.Index] {
 			if pr == from {
@@ -150,23 +173,23 @@ func BuildPlan(f *ir.Function) *Plan {
 		}
 		term := b.Term()
 		if term == nil {
-			p.runnable = false
+			p.fail(fmt.Errorf("interp: %s.%s: block does not end in a terminator", f.Name, b.Name))
 			continue
 		}
 		pb.term = term
 		pb.body = b.Instrs[len(phis) : len(b.Instrs)-1]
 		for _, in := range pb.body {
-			// Calls recurse through the general executor and fire hook events
-			// for callee blocks; a mid-block terminator would cut the body
-			// short. Either shape sends callers to the hook path.
-			if in.Op == ir.OpCall || in.Op.IsTerminator() {
-				p.runnable = false
+			switch {
+			case in.Op.IsTerminator():
+				p.fail(fmt.Errorf("interp: %s.%s: interior terminator %s", f.Name, b.Name, in.Op))
+			case in.Op == ir.OpCall && in.Callee == nil:
+				p.fail(fmt.Errorf("interp: %s.%s: call with no callee", f.Name, b.Name))
 			}
 		}
 
 		// Move tables: for each unique predecessor, the parallel-copy the
 		// phi prefix performs. A phi lacking an incoming edge leaves a nil
-		// table, reproducing the interpreter's runtime error on traversal.
+		// table, reported as a runtime error on traversal.
 		if len(phis) > 0 {
 			pb.moves = make([][]phiMove, len(p.preds[i]))
 			for slot, pr := range p.preds[i] {
@@ -227,73 +250,77 @@ func BuildPlan(f *ir.Function) *Plan {
 					taken:    taken,
 				}
 			}
-		default:
-			p.runnable = false
 		}
+	}
+	if p.err != nil {
+		return p
 	}
 
 	// Timing packets: the dynamic feed sequence of each block (phi prefix,
-	// body, terminator) flattened into dense arrays, so the batched capture
-	// path hands the timing model one FeedBlock per executed block. Only
-	// runnable plans execute, so only they pay for packets.
-	if p.runnable {
-		var seq []*ir.Instr
-		pks := make([]*TimingPacket, len(p.blocks))
-		nBody := 0
-		for i := range p.blocks {
-			pb := &p.blocks[i]
-			seq = seq[:0]
-			seq = append(seq, pb.phis...)
-			seq = append(seq, pb.body...)
-			seq = append(seq, pb.term)
-			pb.packet = NewTimingPacket(seq)
-			pks[i] = pb.packet
-			if pb.packet.NumMem > p.maxMem {
-				p.maxMem = pb.packet.NumMem
-			}
-			nBody += len(pb.body)
+	// body, terminator) flattened into dense arrays, so the capture loop
+	// hands the timing model one FeedBlock per executed block.
+	var seq []*ir.Instr
+	pks := make([]*TimingPacket, len(p.blocks))
+	nBody := 0
+	for i := range p.blocks {
+		pb := &p.blocks[i]
+		seq = seq[:0]
+		seq = append(seq, pb.phis...)
+		seq = append(seq, pb.body...)
+		seq = append(seq, pb.term)
+		pb.packet = NewTimingPacket(seq)
+		pks[i] = pb.packet
+		if pb.packet.NumMem > p.maxMem {
+			p.maxMem = pb.packet.NumMem
 		}
-		compactPackets(pks)
+		nBody += len(pb.body)
+	}
+	compactPackets(pks)
 
-		// Dense execution records for the body dispatch, one arena for the
-		// whole plan.
-		code := make([]execEntry, nBody)
-		n := 0
-		for i := range p.blocks {
-			pb := &p.blocks[i]
-			pb.code = code[n : n+len(pb.body) : n+len(pb.body)]
-			for j, in := range pb.body {
-				e := &pb.code[j]
-				e.op = in.Op
-				e.dst = int32(in.Dst)
-				e.imm = in.Imm
-				switch len(in.Args) {
-				case 0:
-				case 1:
-					e.a0 = int32(in.Args[0])
-				case 2:
-					e.a0, e.a1 = int32(in.Args[0]), int32(in.Args[1])
-				default:
-					e.a0, e.a1, e.a2 = int32(in.Args[0]), int32(in.Args[1]), int32(in.Args[2])
-				}
+	// Dense execution records for the body dispatch, one arena for the
+	// whole plan. A call's record carries its callee plan's index in imm.
+	code := make([]execEntry, nBody)
+	n := 0
+	for i := range p.blocks {
+		pb := &p.blocks[i]
+		pb.code = code[n : n+len(pb.body) : n+len(pb.body)]
+		for j, in := range pb.body {
+			e := &pb.code[j]
+			e.op = in.Op
+			e.dst = int32(in.Dst)
+			e.imm = in.Imm
+			switch len(in.Args) {
+			case 0:
+			case 1:
+				e.a0 = int32(in.Args[0])
+			case 2:
+				e.a0, e.a1 = int32(in.Args[0]), int32(in.Args[1])
+			default:
+				e.a0, e.a1, e.a2 = int32(in.Args[0]), int32(in.Args[1]), int32(in.Args[2])
 			}
-			n += len(pb.body)
+			if in.Op == ir.OpCall {
+				cp := built[in.Callee]
+				if cp == nil {
+					cp = buildPlan(in.Callee, built)
+				}
+				e.imm = int64(len(p.callees))
+				p.callees = append(p.callees, cp)
+			}
 		}
+		n += len(pb.body)
 	}
 	return p
 }
 
-// BlockPacket returns the timing packet of block i, or nil for non-runnable
-// plans. Exposed for the packet equivalence tests.
-func (p *Plan) BlockPacket(i int) *TimingPacket { return p.blocks[i].packet }
+// fail records the first malformation found while building.
+func (p *Plan) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+}
 
 // F returns the planned function.
 func (p *Plan) F() *ir.Function { return p.f }
-
-// Runnable reports whether RunProfiled may execute this plan. Non-runnable plans
-// (call-bearing or structurally unusual functions) must go through the
-// hook-based Run.
-func (p *Plan) Runnable() bool { return p.runnable }
 
 // NumEdges returns the number of dense edge-counter slots.
 func (p *Plan) NumEdges() int { return len(p.edgeFrom) }
@@ -339,10 +366,9 @@ type BLPlan struct {
 // real path profilers degrade to hashing.
 const MaxDensePaths = int64(1) << 17
 
-// PathState accumulates one collector's dense profile across any number of
-// RunPlan invocations: block counts, edge counts, path counts, and the
-// optional path trace. It replaces the map[Edge]int64 / map[int64]int64
-// bookkeeping of the hook path on the common (< MaxDensePaths) case.
+// PathState accumulates one collector's profile across any number of
+// RunProfiled invocations: block counts, edge counts, path counts (dense
+// below MaxDensePaths, sparse above), and the optional path trace.
 type PathState struct {
 	Blocks []int64 // indexed by block index
 	Edges  []int64 // indexed by dense edge slot
@@ -384,24 +410,6 @@ func (st *PathState) EachPath(fn func(id, freq int64)) {
 	}
 }
 
-// Reset zeroes every accumulated counter and drops the trace, so the state
-// can be reused after its contents have been drained elsewhere.
-func (st *PathState) Reset() {
-	for i := range st.Blocks {
-		st.Blocks[i] = 0
-	}
-	for i := range st.Edges {
-		st.Edges[i] = 0
-	}
-	for i := range st.dense {
-		st.dense[i] = 0
-	}
-	if st.sparse != nil {
-		st.sparse = make(map[int64]int64)
-	}
-	st.Trace = nil
-}
-
 func (st *PathState) record(id int64, onPath func(int64)) {
 	if st.dense != nil {
 		st.dense[id]++
@@ -416,74 +424,84 @@ func (st *PathState) record(id int64, onPath func(int64)) {
 	}
 }
 
-// Timing consumes the dynamic instruction stream of a planned run, exactly
-// as the Instr/Mem/Edge hook combination feeds the host timing model on the
-// slow path. *ooo.Model implements it.
-type Timing interface {
-	// Feed schedules one dynamic instruction; addr is the effective word
-	// address for memory operations (0 otherwise).
-	Feed(in *ir.Instr, addr int64)
-	// NoteBranch reports a conditional branch outcome, after the branch
-	// instruction has been fed.
-	NoteBranch(taken bool)
-}
-
 // PlanOpts configures RunProfiled.
 type PlanOpts struct {
-	// MaxSteps bounds dynamic instructions (<= 0: the Run default).
+	// MaxSteps bounds dynamic instructions (<= 0: the Exec default).
 	MaxSteps int64
-	// Timing, when non-nil, receives every executed instruction in program
-	// order plus conditional-branch outcomes (the fused host-model feed).
+	// Timing, when non-nil, receives every executed block's timing packet
+	// plus conditional-branch outcomes (the fused host-model feed).
 	Timing Timing
 	// History, when non-nil, is a branch-history shift register updated at
 	// every conditional branch: 1 shifted in when the taken arm ran.
 	History *uint64
 	// OnPath fires at every path completion with the completed path ID,
 	// after counters update but before the history register shifts the
-	// completing edge's bit (matching the hook ordering the system
-	// simulator's cycle attribution depends on).
+	// completing edge's bit (the ordering the system simulator's cycle
+	// attribution depends on).
 	OnPath func(id int64)
 }
 
-// RunProfiled executes a planned function over the fused profiling fast path:
-// block, edge, and Ball-Larus path counters update by direct array
-// increments, with no hook closures in the inner loop. Results, step counts,
-// errors, and the collected profile are identical to running the hook-based
-// Run with a profile.Collector attached — the property the differential
-// tests pin down.
+// RunProfiled executes a planned function: block, edge, and Ball-Larus path
+// counters update by direct array increments, with no hook closures in the
+// inner loop. Calls run their callee's plan to completion, unprofiled,
+// under the shared step budget; a call-bearing plan refuses Timing and
+// History with ErrTimedCall. Results, step counts, errors, and the
+// collected profile are identical to the hook-driven reference interpreter
+// with a reference profiler attached — the property the differential tests
+// pin down.
 func RunProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts PlanOpts) (Result, error) {
-	res, err := runProfiled(p, bl, args, mem, st, opts)
-	obsFastRuns.Add(1)
-	obsFastInstrs.Add(res.Steps)
-	return res, err
-}
-
-func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts PlanOpts) (Result, error) {
-	if !p.runnable {
-		return Result{}, fmt.Errorf("interp: plan for %s is not runnable", p.f.Name)
-	}
-	f := p.f
-	if len(args) != f.NumParams() {
-		return Result{}, fmt.Errorf("interp: %s wants %d args, got %d", f.Name, f.NumParams(), len(args))
+	if len(p.callees) > 0 && (opts.Timing != nil || opts.History != nil) {
+		return Result{}, fmt.Errorf("%w: %s", ErrTimedCall, p.f.Name)
 	}
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = 1 << 32
 	}
+	var cs callScratch
+	ret, steps, err := p.run(bl, args, mem, st, &opts, &cs, maxSteps, 0, 0)
+	obsFastRuns.Add(1)
+	obsFastInstrs.Add(steps)
+	return Result{Ret: ret, Steps: steps}, err
+}
+
+// callScratch is what the callee invocations of one top-level run share.
+// Callees run unprofiled and nothing reads their counters, so every
+// invocation of one callee — nested and recursive ones too — counts into
+// the same throwaway PathState. args stages a call's arguments; a callee
+// copies them into its registers before it can make a call of its own.
+type callScratch struct {
+	opts   PlanOpts // zero: no timing, history or path observer
+	states map[*Plan]*PathState
+	args   []uint64
+}
+
+// run executes one invocation of p at call depth depth. steps is the
+// dynamic-instruction count so far across the whole call tree (callees
+// share their caller's budget); the updated count comes back with the
+// result, on errors too.
+func (p *Plan) run(bl *BLPlan, args, mem []uint64, st *PathState, opts *PlanOpts, cs *callScratch, maxSteps, steps int64, depth int) (uint64, int64, error) {
+	f := p.f
+	if depth > maxCallDepth {
+		return 0, steps, fmt.Errorf("%w in %s", ErrCallDepth, f.Name)
+	}
+	if p.err != nil {
+		return 0, steps, p.err
+	}
+	if len(args) != f.NumParams() {
+		return 0, steps, fmt.Errorf("interp: %s wants %d args, got %d", f.Name, f.NumParams(), len(args))
+	}
 	timing := opts.Timing
 	hist := opts.History
 	onPath := opts.OnPath
 
-	// Batched timing: a BlockTiming consumer receives one FeedBlock per
-	// executed block (walking the precompiled packet) instead of one virtual
-	// Feed per instruction. Error paths feed the partial packet up to the
-	// last completed instruction, so the model's state matches the
-	// per-instruction oracle even on runs that fault mid-block. The address
+	// Batched timing: the model receives one FeedBlock per executed block
+	// (walking the precompiled packet). Error paths feed the partial packet
+	// up to the last completed instruction, so the model's state matches a
+	// per-instruction feed even on runs that fault mid-block. The address
 	// scratch is reused across every block of the run.
-	bt, batch := timing.(BlockTiming)
-	feedEach := timing != nil && !batch
+	timed := timing != nil
 	var addrs []int64
-	if batch && p.maxMem > 0 {
+	if timed && p.maxMem > 0 {
 		addrs = make([]int64, 0, p.maxMem)
 	}
 
@@ -496,15 +514,8 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 		phiTmp = make([]uint64, p.maxPhis)
 	}
 
-	var steps int64
-	// pend mirrors the hook path's address capture: the Mem hook only fires
-	// for memory ops and nothing clears it, so a timing model sees the last
-	// memory address alongside every subsequent non-memory instruction. The
-	// value is only meaningful for memory ops, but the fast path reproduces
-	// the stale reads too so the two event streams are indistinguishable.
-	var pend int64
 	cur := 0
-	predSlot := int32(0)
+	predSlot := p.entrySlot
 	pathReg := bl.EntryVal
 	blocks := p.blocks
 
@@ -512,17 +523,18 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 		b := &blocks[cur]
 		st.Blocks[cur]++
 		// One bounds check per block: when the whole block fits under the
-		// step budget, the per-instruction limit checks are skipped.
+		// step budget, the per-instruction limit checks are skipped. A call
+		// spends budget mid-block, so it turns the checks back on.
 		careful := steps+int64(len(b.phis)+len(b.body)+1) > maxSteps
 		nPhis := len(b.phis)
-		if batch {
+		if timed {
 			addrs = addrs[:0]
 		}
 
 		if nPhis > 0 {
 			moves := b.moves[predSlot]
 			if moves == nil {
-				return Result{Steps: steps}, p.phiEdgeError(cur, predSlot)
+				return 0, steps, p.phiEdgeError(cur, predSlot)
 			}
 			for i := range moves {
 				phiTmp[i] = regs[moves[i].src]
@@ -531,13 +543,10 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 				regs[moves[i].dst] = phiTmp[i]
 				steps++
 				if careful && steps > maxSteps {
-					if batch {
-						bt.FeedBlock(b.packet, i, addrs)
+					if timed {
+						timing.FeedBlock(b.packet, i, addrs)
 					}
-					return Result{Steps: steps}, fmt.Errorf("%w (limit %d) in %s", ErrStepLimit, maxSteps, f.Name)
-				}
-				if feedEach {
-					timing.Feed(b.phis[i], pend)
+					return 0, steps, fmt.Errorf("%w (limit %d) in %s", ErrStepLimit, maxSteps, f.Name)
 				}
 			}
 		}
@@ -546,15 +555,15 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 			c := &b.code[j]
 			steps++
 			if careful && steps > maxSteps {
-				if batch {
-					bt.FeedBlock(b.packet, nPhis+j, addrs)
+				if timed {
+					timing.FeedBlock(b.packet, nPhis+j, addrs)
 				}
-				return Result{Steps: steps}, fmt.Errorf("%w (limit %d) in %s", ErrStepLimit, maxSteps, f.Name)
+				return 0, steps, fmt.Errorf("%w (limit %d) in %s", ErrStepLimit, maxSteps, f.Name)
 			}
 			// The common opcodes are inlined below with arithmetic identical
-			// to eval's (two's-complement add/sub/mul/shl are the same bits
+			// to Eval's (two's-complement add/sub/mul/shl are the same bits
 			// signed or unsigned; shr stays an arithmetic int64 shift); rare
-			// opcodes and every error path fall back to eval so results and
+			// opcodes and every error path fall back to Eval so results and
 			// error messages cannot drift.
 			switch c.op {
 			case ir.OpAdd:
@@ -605,67 +614,79 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 				}
 			case ir.OpLoad:
 				addr := int64(regs[c.a0])
-				pend = addr
-				if batch {
+				if timed {
 					addrs = append(addrs, addr)
 				}
 				if uint64(addr) < uint64(len(mem)) {
 					regs[c.dst] = mem[addr]
-				} else if _, err := eval(b.body[j], regs, mem); err != nil {
-					if batch {
-						bt.FeedBlock(b.packet, nPhis+j, addrs)
+				} else if _, err := Eval(b.body[j], regs, mem); err != nil {
+					if timed {
+						timing.FeedBlock(b.packet, nPhis+j, addrs)
 					}
-					return Result{Steps: steps}, fmt.Errorf("%w in %s.%s", err, f.Name, f.Blocks[cur].Name)
+					return 0, steps, fmt.Errorf("%w in %s.%s", err, f.Name, f.Blocks[cur].Name)
 				}
 			case ir.OpStore:
 				addr := int64(regs[c.a0])
-				pend = addr
-				if batch {
+				if timed {
 					addrs = append(addrs, addr)
 				}
 				if uint64(addr) < uint64(len(mem)) {
 					mem[addr] = regs[c.a1]
-				} else if _, err := eval(b.body[j], regs, mem); err != nil {
-					if batch {
-						bt.FeedBlock(b.packet, nPhis+j, addrs)
+				} else if _, err := Eval(b.body[j], regs, mem); err != nil {
+					if timed {
+						timing.FeedBlock(b.packet, nPhis+j, addrs)
 					}
-					return Result{Steps: steps}, fmt.Errorf("%w in %s.%s", err, f.Name, f.Blocks[cur].Name)
+					return 0, steps, fmt.Errorf("%w in %s.%s", err, f.Name, f.Blocks[cur].Name)
 				}
+			case ir.OpCall:
+				// Timed runs never reach here (RunProfiled refuses them).
+				callee := p.callees[c.imm]
+				cst := cs.states[callee]
+				if cst == nil {
+					if cs.states == nil {
+						cs.states = make(map[*Plan]*PathState)
+					}
+					cst = NewPathState(callee, 1, false)
+					cs.states[callee] = cst
+				}
+				cs.args = cs.args[:0]
+				for _, a := range b.body[j].Args {
+					cs.args = append(cs.args, regs[a])
+				}
+				v, n, err := callee.run(callee.quiet, cs.args, mem, cst, &cs.opts, cs, maxSteps, steps, depth+1)
+				steps = n
+				if err != nil {
+					return 0, steps, err
+				}
+				regs[c.dst] = v
+				careful = true
 			default:
 				in := b.body[j]
-				if in.Op.IsMemory() {
-					pend = int64(regs[c.a0])
-					if batch {
-						addrs = append(addrs, pend)
-					}
+				if timed && in.Op.IsMemory() {
+					addrs = append(addrs, int64(regs[c.a0]))
 				}
-				v, err := eval(in, regs, mem)
+				v, err := Eval(in, regs, mem)
 				if err != nil {
-					if batch {
-						bt.FeedBlock(b.packet, nPhis+j, addrs)
+					if timed {
+						timing.FeedBlock(b.packet, nPhis+j, addrs)
 					}
-					return Result{Steps: steps}, fmt.Errorf("%w in %s.%s", err, f.Name, f.Blocks[cur].Name)
+					return 0, steps, fmt.Errorf("%w in %s.%s", err, f.Name, f.Blocks[cur].Name)
 				}
 				if in.Op.HasDest() {
 					regs[in.Dst] = v
 				}
 			}
-			if feedEach {
-				timing.Feed(b.body[j], pend)
-			}
 		}
 
 		steps++
 		if careful && steps > maxSteps {
-			if batch {
-				bt.FeedBlock(b.packet, nPhis+len(b.body), addrs)
+			if timed {
+				timing.FeedBlock(b.packet, nPhis+len(b.body), addrs)
 			}
-			return Result{Steps: steps}, fmt.Errorf("%w (limit %d) in %s", ErrStepLimit, maxSteps, f.Name)
+			return 0, steps, fmt.Errorf("%w (limit %d) in %s", ErrStepLimit, maxSteps, f.Name)
 		}
-		if batch {
-			bt.FeedBlock(b.packet, b.packet.Len(), addrs)
-		} else if timing != nil {
-			timing.Feed(b.term, pend)
+		if timed {
+			timing.FeedBlock(b.packet, b.packet.Len(), addrs)
 		}
 		switch b.kind {
 		case termRet:
@@ -674,7 +695,7 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 				ret = regs[b.retReg]
 			}
 			st.record(pathReg+bl.RetVal[cur], onPath)
-			return Result{Ret: ret, Steps: steps}, nil
+			return ret, steps, nil
 		case termBr:
 			s := &b.succs[0]
 			e := &bl.Succs[cur][0]
@@ -700,7 +721,7 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 			} else {
 				pathReg += e.Inc
 			}
-			if timing != nil {
+			if timed {
 				timing.NoteBranch(s.taken != 0)
 			}
 			if hist != nil {
@@ -711,8 +732,9 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 	}
 }
 
-// phiEdgeError reproduces the general interpreter's missing-phi-edge error
-// for the (block, predecessor slot) pair.
+// phiEdgeError reports the first phi of the block that has no incoming
+// value for the (block, predecessor slot) pair; the entry block's nil
+// pseudo-predecessor prints as <nil>.
 func (p *Plan) phiEdgeError(cur int, predSlot int32) error {
 	b := p.f.Blocks[cur]
 	pred := p.preds[cur][predSlot]

@@ -14,12 +14,12 @@ import (
 // landing mid-phi-sequence must trip there, not at the next body check.
 func TestStepLimitExactAtEveryInstruction(t *testing.T) {
 	f := buildSumLoop(t)
-	full, err := Run(f, []uint64{IBits(5)}, nil, nil, 0)
+	full, err := Exec(f, []uint64{IBits(5)}, nil, 0)
 	if err != nil {
 		t.Fatalf("unlimited run: %v", err)
 	}
 	for limit := int64(1); limit < full.Steps; limit++ {
-		res, err := Run(f, []uint64{IBits(5)}, nil, nil, limit)
+		res, err := Exec(f, []uint64{IBits(5)}, nil, limit)
 		if !errors.Is(err, ErrStepLimit) {
 			t.Fatalf("limit %d: want ErrStepLimit, got %v", limit, err)
 		}
@@ -33,9 +33,6 @@ func TestStepLimitExactAtEveryInstruction(t *testing.T) {
 func TestBuildPlanSumLoop(t *testing.T) {
 	f := buildSumLoop(t)
 	p := BuildPlan(f)
-	if !p.Runnable() {
-		t.Fatal("sum loop should have a runnable plan")
-	}
 	if p.F() != f {
 		t.Error("plan function mismatch")
 	}
@@ -56,6 +53,10 @@ func TestBuildPlanSumLoop(t *testing.T) {
 	}
 }
 
+// TestBuildPlanDeclinesCalls: a call-bearing plan runs plainly — the callee
+// to completion, unprofiled — but declines a timed or history-tracked run
+// with ErrTimedCall (capture only ever sees inlined functions), while a
+// call-free plan accepts both.
 func TestBuildPlanDeclinesCalls(t *testing.T) {
 	src := `func @leaf(i64) {
 entry:
@@ -72,10 +73,18 @@ entry:
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if p := BuildPlan(m.Func("main")); p.Runnable() {
-		t.Error("call-bearing function must not get a runnable plan")
+	run := func(f *ir.Function, hist *uint64) (Result, error) {
+		p := BuildPlan(f)
+		return RunProfiled(p, p.quiet, []uint64{IBits(7)}, nil, NewPathState(p, 1, false), PlanOpts{History: hist})
 	}
-	if p := BuildPlan(m.Func("leaf")); !p.Runnable() {
-		t.Error("leaf function should plan fine")
+	var h uint64
+	if _, err := run(m.Func("main"), &h); !errors.Is(err, ErrTimedCall) {
+		t.Errorf("history-tracked call-bearing run: want ErrTimedCall, got %v", err)
+	}
+	if res, err := run(m.Func("main"), nil); err != nil || I(res.Ret) != 7 || res.Steps != 3 {
+		t.Errorf("plain call-bearing run = %+v, %v; want ret 7 in 3 steps", res, err)
+	}
+	if _, err := run(m.Func("leaf"), &h); err != nil {
+		t.Errorf("history-tracked leaf run: %v", err)
 	}
 }

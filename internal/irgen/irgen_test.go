@@ -12,7 +12,6 @@ import (
 	"needle/internal/passes"
 	"needle/internal/profile"
 	"needle/internal/region"
-	"needle/internal/sim"
 	"needle/internal/spec"
 )
 
@@ -31,11 +30,11 @@ func TestGeneratedProgramsAreWellFormed(t *testing.T) {
 		if _, err := ir.ParseFunction(text); err != nil {
 			t.Fatalf("seed %d: reparse: %v\n%s", seed, err, text)
 		}
-		r1, err := interp.Run(p.F, []uint64{interp.IBits(seed)}, p.NewMem(), nil, 1<<22)
+		r1, err := interp.Exec(p.F, []uint64{interp.IBits(seed)}, p.NewMem(), 1<<22)
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
-		r2, err := interp.Run(p.F, []uint64{interp.IBits(seed)}, p.NewMem(), nil, 1<<22)
+		r2, err := interp.Exec(p.F, []uint64{interp.IBits(seed)}, p.NewMem(), 1<<22)
 		if err != nil || r1.Ret != r2.Ret || r1.Steps != r2.Steps {
 			t.Fatalf("seed %d: nondeterministic", seed)
 		}
@@ -52,13 +51,14 @@ func TestBallLarusPartitionInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Build: %v", seed, err)
 		}
-		prof := ballarus.NewProfiler(dag)
-		res, err := interp.Run(p.F, []uint64{interp.IBits(seed * 7)}, p.NewMem(), prof.Hooks(), 1<<22)
+		plan := interp.BuildPlan(p.F)
+		st := interp.NewPathState(plan, dag.NumPaths(), false)
+		res, err := interp.RunProfiled(plan, dag.CompilePlan(plan), []uint64{interp.IBits(seed * 7)}, p.NewMem(), st, interp.PlanOpts{MaxSteps: 1 << 22})
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
 		var ops int64
-		for id, c := range prof.Counts {
+		st.EachPath(func(id, c int64) {
 			blocks, err := dag.Decode(id)
 			if err != nil {
 				t.Fatalf("seed %d: decode %d: %v", seed, id, err)
@@ -68,7 +68,7 @@ func TestBallLarusPartitionInvariant(t *testing.T) {
 				t.Fatalf("seed %d: encode(decode(%d)) = %d, %v", seed, id, back, err)
 			}
 			ops += c * ballarus.PathOps(blocks)
-		}
+		})
 		if ops != res.Steps {
 			t.Fatalf("seed %d: attributed %d ops, interpreter ran %d", seed, ops, res.Steps)
 		}
@@ -81,7 +81,7 @@ func TestOptimizePreservesSemanticsOnRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		p := Generate(seed, Config{})
 		mem1 := p.NewMem()
-		r1, err := interp.Run(p.F, []uint64{interp.IBits(11)}, mem1, nil, 1<<22)
+		r1, err := interp.Exec(p.F, []uint64{interp.IBits(11)}, mem1, 1<<22)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -91,7 +91,7 @@ func TestOptimizePreservesSemanticsOnRandomPrograms(t *testing.T) {
 			t.Fatalf("seed %d: optimized SSA: %v", seed, err)
 		}
 		mem2 := p.NewMem()
-		r2, err := interp.Run(clone, []uint64{interp.IBits(11)}, mem2, nil, 1<<22)
+		r2, err := interp.Exec(clone, []uint64{interp.IBits(11)}, mem2, 1<<22)
 		if err != nil {
 			t.Fatalf("seed %d: optimized run: %v", seed, err)
 		}
@@ -235,55 +235,5 @@ func TestSpecRollbackOnRandomPrograms(t *testing.T) {
 	}
 	if checked < 10 {
 		t.Fatalf("only %d seeds produced checkable frames", checked)
-	}
-}
-
-// TestFunctionalOffloadOnRandomPrograms: the full speculation loop (frames,
-// undo log, rollback, host re-execution) must be observationally identical
-// to pure interpretation on random programs, for both path and braid
-// targets.
-func TestFunctionalOffloadOnRandomPrograms(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	checked := 0
-	for seed := int64(0); seed < seeds; seed += 2 {
-		p := Generate(seed, Config{})
-		memPure := p.NewMem()
-		pure, err := interp.Run(p.F, []uint64{interp.IBits(21)}, memPure, nil, 1<<22)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-
-		tr, err := sim.Capture(nil, p.F, []uint64{interp.IBits(21)}, p.NewMem(), cfg)
-		if err != nil {
-			t.Fatalf("seed %d: capture: %v", seed, err)
-		}
-		targets := []*sim.Target{}
-		if tgt, err := sim.NewPathTarget(nil, tr.Profile, tr.Profile.HottestPath(), cfg); err == nil {
-			targets = append(targets, tgt)
-		}
-		if braids := region.BuildBraids(tr.Profile, 0); len(braids) > 0 {
-			if tgt, err := sim.NewBraidTarget(nil, tr.Profile, braids[0], cfg); err == nil {
-				targets = append(targets, tgt)
-			}
-		}
-		for ti, tgt := range targets {
-			memOff := p.NewMem()
-			res, err := sim.FunctionalOffload(p.F, []uint64{interp.IBits(21)}, memOff, tgt, spec.Always{}, 1<<22)
-			if err != nil {
-				t.Fatalf("seed %d target %d: %v", seed, ti, err)
-			}
-			if res.Ret != pure.Ret {
-				t.Fatalf("seed %d target %d: result %d != pure %d", seed, ti, res.Ret, pure.Ret)
-			}
-			for i := range memPure {
-				if memPure[i] != memOff[i] {
-					t.Fatalf("seed %d target %d: memory diverged at %d", seed, ti, i)
-				}
-			}
-			checked++
-		}
-	}
-	if checked < 50 {
-		t.Fatalf("only %d target runs checked", checked)
 	}
 }

@@ -1,9 +1,11 @@
 // Package ooo is the host-core timing model: a streaming, dependence-based
 // out-of-order scheduler with the Table V parameters (4-wide issue, 96-entry
 // ROB, 6 ALUs, 2 FPUs, perfect branch prediction). It consumes the dynamic
-// instruction stream from interpreter hooks and reports the cycle count the
-// modeled core would need — the same first-order model the paper's
-// macsim-based simulator provides.
+// instruction stream a planned run feeds it block by block (FeedBlock) and
+// reports the cycle count the modeled core would need — the same
+// first-order model the paper's macsim-based simulator provides. Feed is the
+// straightforward per-instruction model; the reference-interpreter tests
+// drive it to check FeedBlock on every workload.
 package ooo
 
 import (
@@ -55,29 +57,13 @@ func Latency(op ir.Op) int64 {
 	return 1
 }
 
-// Per-opcode class and latency tables: Feed runs once per dynamic
-// instruction, so the predicates and the Latency switch are folded into two
-// array lookups. Sized generously past the last opcode (OpRet).
-const (
-	classInt = iota
-	classFP
-	classMem
-)
-
-var (
-	opClass [64]uint8
-	opLat   [64]int64
-)
+// opLat folds the Latency switch into one array lookup per packet entry.
+// Sized generously past the last opcode (OpRet).
+var opLat [64]int64
 
 func init() {
 	for op := ir.Op(0); op <= ir.OpRet; op++ {
 		opLat[op] = Latency(op)
-		switch {
-		case op.IsMemory():
-			opClass[op] = classMem
-		case op.IsFloat():
-			opClass[op] = classFP
-		}
 	}
 }
 
@@ -90,7 +76,8 @@ type OpMix struct {
 }
 
 // Model is the streaming timing model. Feed it the dynamic instruction
-// stream (via Hooks or direct Feed calls) and read Cycles at the end.
+// stream (FeedBlock per executed block, or Feed per instruction) and read
+// Cycles at the end.
 type Model struct {
 	cfg   Config
 	cache *mem.Cache
@@ -105,7 +92,6 @@ type Model struct {
 	fetch    int64 // count / Width, maintained incrementally
 	fetchRem int64 // count % Width
 	lastDone int64 // max finish time
-	pendAddr int64 // address captured by the Mem hook for the next instr
 
 	// Branch predictor state (RealBranchPredictor only).
 	bpTable    []int8
@@ -153,21 +139,6 @@ func New(cfg Config, numRegs int, cache *mem.Cache) *Model {
 // Cache returns the cache model in use.
 func (m *Model) Cache() *mem.Cache { return m.cache }
 
-// Hooks returns interpreter hooks that stream execution into the model.
-func (m *Model) Hooks() *interp.Hooks {
-	return &interp.Hooks{
-		Mem:   func(_ *ir.Instr, addr int64) { m.pendAddr = addr },
-		Instr: func(in *ir.Instr) { m.Feed(in, m.pendAddr) },
-		Edge: func(from, to *ir.Block) {
-			t := from.Term()
-			if t == nil || t.Op != ir.OpCondBr {
-				return
-			}
-			m.NoteBranch(t.Blocks[0] == to)
-		},
-	}
-}
-
 // NoteBranch informs the (optional) branch predictor of a conditional
 // branch outcome; call it right after feeding the branch instruction.
 func (m *Model) NoteBranch(taken bool) {
@@ -202,7 +173,9 @@ func b2u(v bool) uint64 {
 }
 
 // Feed schedules one dynamic instruction. addr is the effective word
-// address for memory operations (ignored otherwise).
+// address for memory operations (ignored otherwise). It reads the
+// *ir.Instr directly — the straightforward per-instruction model the
+// batched FeedBlock is checked against.
 func (m *Model) Feed(in *ir.Instr, addr int64) {
 	// fetch is count/Width, maintained incrementally to keep the integer
 	// division out of the per-instruction path.
@@ -236,12 +209,12 @@ func (m *Model) Feed(in *ir.Instr, addr int64) {
 
 	var lat int64
 	var pool []int64
-	switch opClass[in.Op] {
-	case classMem:
+	switch {
+	case in.Op.IsMemory():
 		m.Mix.Mem++
 		lat = m.cache.Access(addr)
 		pool = m.aluFree // address generation occupies an ALU slot
-	case classFP:
+	case in.Op.IsFloat():
 		m.Mix.FP++
 		lat = opLat[in.Op]
 		pool = m.fpuFree
@@ -282,14 +255,14 @@ func (m *Model) Feed(in *ir.Instr, addr int64) {
 }
 
 // FeedBlock schedules the first n entries of a precompiled timing packet —
-// the batched equivalent of n sequential Feed calls, and the entry point the
-// capture fast path uses once per executed block. addrs holds the effective
-// word addresses of the packet's memory entries in order (trailing extras
-// are ignored). All per-instruction state (fetch group, ROB slot, unit
-// pools, register-ready times) is walked with plain array indexing and
-// hoisted locals; no *ir.Instr is touched. Interleaving FeedBlock with Feed
-// and NoteBranch is legal — the hooked per-instruction path is the
-// equivalence oracle the ooo packet tests pin this against.
+// the batched equivalent of feeding its instructions one by one, and the
+// entry point planned runs use once per executed block. addrs holds the
+// effective word addresses of the packet's memory entries in order
+// (trailing extras are ignored). All per-instruction state (fetch group,
+// ROB slot, unit pools, register-ready times) is walked with plain array
+// indexing and hoisted locals; no *ir.Instr is touched. Interleaving
+// FeedBlock with Feed and NoteBranch is legal — Feed is the equivalence
+// oracle the packet and capture tests pin this against.
 func (m *Model) FeedBlock(pk *interp.TimingPacket, n int, addrs []int64) {
 	if n <= 0 {
 		return

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"needle/internal/interp"
+	"needle/internal/interp/interpref"
 	"needle/internal/ir"
 	"needle/internal/mem"
+	"needle/internal/profile"
 )
 
 // feedN feeds n copies of a simple independent int op.
@@ -120,10 +122,16 @@ exit:
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The planned run feeds whole blocks; the reference interpreter feeds
+	// one instruction at a time. Both must drive the model identically.
 	m := New(DefaultConfig(), f.NumRegs(), nil)
-	res, err := interp.Run(f, []uint64{interp.IBits(50)}, nil, m.Hooks(), 0)
-	if err != nil {
+	res := runTimed(t, f, []uint64{interp.IBits(50)}, nil, m)
+	ref := New(DefaultConfig(), f.NumRegs(), nil)
+	if _, err := interpref.Run(f, []uint64{interp.IBits(50)}, nil, 0, interpref.TimingHooks(ref)); err != nil {
 		t.Fatal(err)
+	}
+	if m.Cycles() != ref.Cycles() || m.Mix != ref.Mix {
+		t.Fatalf("block feed: %d cycles %+v; per-instruction feed: %d cycles %+v", m.Cycles(), m.Mix, ref.Cycles(), ref.Mix)
 	}
 	if m.Instructions() != res.Steps {
 		t.Fatalf("model saw %d instrs, interpreter ran %d", m.Instructions(), res.Steps)
@@ -134,6 +142,21 @@ exit:
 	if m.Mix.Total != res.Steps {
 		t.Fatalf("mix total = %d", m.Mix.Total)
 	}
+}
+
+// runTimed runs f once through a profile collector with m as its timing
+// model, the way the system simulator's capture does.
+func runTimed(t *testing.T, f *ir.Function, args, mem []uint64, m *Model) interp.Result {
+	t.Helper()
+	c, err := profile.NewCollector(nil, f, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunTimed(args, mem, m, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestLatencyTable(t *testing.T) {
@@ -190,9 +213,7 @@ exit:
 		m := New(cfg, f.NumRegs(), nil)
 		work := make([]uint64, len(memory))
 		copy(work, memory)
-		if _, err := interp.Run(f, args, work, m.Hooks(), 0); err != nil {
-			t.Fatal(err)
-		}
+		runTimed(t, f, args, work, m)
 		return m
 	}
 	perfect := run(DefaultConfig())

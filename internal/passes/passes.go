@@ -7,6 +7,7 @@
 package passes
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -14,9 +15,15 @@ import (
 	"needle/internal/pm"
 )
 
+// ErrRecursive is returned by InlineAll for a call graph with a cycle: a
+// recursive function has no finite inlined form.
+var ErrRecursive = errors.New("passes: recursive call graph")
+
 // InlineAll clones f with every call (transitively) inlined, up to maxDepth
-// nested levels. Functions without calls are returned unchanged. Recursive
-// call chains exceeding maxDepth are an error: Needle's offload regions
+// nested levels. Functions without calls are returned unchanged. A call
+// graph reachable from f that reaches any of its functions again fails with
+// ErrRecursive, naming that function, before any IR is emitted; call
+// chains deeper than maxDepth are an error too: Needle's offload regions
 // cannot contain calls.
 func InlineAll(f *ir.Function, maxDepth int) (*ir.Function, error) {
 	if maxDepth <= 0 {
@@ -24,6 +31,9 @@ func InlineAll(f *ir.Function, maxDepth int) (*ir.Function, error) {
 	}
 	if !hasCalls(f) {
 		return f, nil
+	}
+	if g := recursive(f, map[*ir.Function]int{}); g != nil {
+		return nil, fmt.Errorf("%w: %s calls itself", ErrRecursive, g.Name)
 	}
 	cur := f
 	for depth := 0; ; depth++ {
@@ -39,6 +49,29 @@ func InlineAll(f *ir.Function, maxDepth int) (*ir.Function, error) {
 			return cur, nil
 		}
 	}
+}
+
+// recursive returns a function on a call cycle reachable from f, or nil.
+// state marks functions being visited (1) and finished (2).
+func recursive(f *ir.Function, state map[*ir.Function]int) *ir.Function {
+	state[f] = 1
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op != ir.OpCall || in.Callee == nil {
+				continue
+			}
+			switch state[in.Callee] {
+			case 1:
+				return in.Callee
+			case 0:
+				if g := recursive(in.Callee, state); g != nil {
+					return g
+				}
+			}
+		}
+	}
+	state[f] = 2
+	return nil
 }
 
 func hasCalls(f *ir.Function) bool {

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -68,8 +69,8 @@ func TestInlineAllPreservesSemantics(t *testing.T) {
 	}
 	check := func(x, y int16) bool {
 		a := []uint64{interp.IBits(int64(x)), interp.IBits(int64(y))}
-		r1, err1 := interp.Run(f, a, nil, nil, 0)
-		r2, err2 := interp.Run(inlined, a, nil, nil, 0)
+		r1, err1 := interp.Exec(f, a, nil, 0)
+		r2, err2 := interp.Exec(inlined, a, nil, 0)
 		return err1 == nil && err2 == nil && r1.Ret == r2.Ret
 	}
 	if err := quick.Check(check, nil); err != nil {
@@ -128,8 +129,74 @@ func TestInlineRejectsRecursion(t *testing.T) {
 	}
 	f.Blocks = []*ir.Block{blk}
 	f.Finish()
-	if _, err := InlineAll(f, 3); err == nil {
-		t.Fatal("expected recursion error")
+	if _, err := InlineAll(f, 3); !errors.Is(err, ErrRecursive) || !strings.Contains(err.Error(), "rec") {
+		t.Fatalf("want ErrRecursive naming rec, got %v", err)
+	}
+
+	// A cycle anywhere below the inlined function — self-recursion in
+	// parsed NIR, or mutual recursion between two helpers — is refused up
+	// front with a typed error naming a function on the cycle, instead of
+	// failing mid-expansion on clashing cloned block names.
+	for _, tc := range []struct{ src, entry, want string }{
+		{`func @rec(i64) {
+entry:
+  r2 = const.i64 0
+  r3 = cmp.le r1, r2
+  condbr r3, %base, %step
+base:
+  ret r2
+step:
+  r4 = const.i64 1
+  r5 = sub r1, r4
+  r6 = call.i64 @rec r5
+  r7 = add r1, r6
+  ret r7
+}
+`, "rec", "rec"},
+		{`func @even(i64) {
+entry:
+  r2 = const.i64 0
+  r3 = cmp.eq r1, r2
+  condbr r3, %yes, %no
+yes:
+  r4 = const.i64 1
+  ret r4
+no:
+  r5 = const.i64 1
+  r6 = sub r1, r5
+  r7 = call.i64 @odd r6
+  ret r7
+}
+
+func @odd(i64) {
+entry:
+  r2 = const.i64 0
+  r3 = cmp.eq r1, r2
+  condbr r3, %yes, %no
+yes:
+  ret r2
+no:
+  r5 = const.i64 1
+  r6 = sub r1, r5
+  r7 = call.i64 @even r6
+  ret r7
+}
+
+func @main(i64) {
+entry:
+  r2 = call.i64 @even r1
+  ret r2
+}
+`, "main", "even"},
+	} {
+		m, err := ir.Parse(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = InlineAll(m.Func(tc.entry), 0)
+		if !errors.Is(err, ErrRecursive) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: want ErrRecursive naming %s, got %v", tc.entry, tc.want, err)
+		}
 	}
 }
 
@@ -150,7 +217,7 @@ entry:
 	if removed := DeadCodeElim(f); removed != 2 {
 		t.Fatalf("removed %d, want 2", removed)
 	}
-	res, err := interp.Run(f, []uint64{interp.IBits(21)}, nil, nil, 0)
+	res, err := interp.Exec(f, []uint64{interp.IBits(21)}, nil, 0)
 	if err != nil || interp.I(res.Ret) != 42 {
 		t.Fatalf("semantics broken: %v %v", res, err)
 	}
@@ -210,7 +277,7 @@ entry:
 	if folded := ConstFold(f); folded != 3 {
 		t.Fatalf("folded %d, want 3", folded)
 	}
-	res, err := interp.Run(f, nil, nil, nil, 0)
+	res, err := interp.Exec(f, nil, nil, 0)
 	if err != nil || interp.I(res.Ret) != 43 {
 		t.Fatalf("semantics broken: ret=%d err=%v", interp.I(res.Ret), err)
 	}
@@ -240,7 +307,7 @@ entry:
 	if folded := ConstFold(f); folded != 1 {
 		t.Fatalf("folded %d, want 1", folded)
 	}
-	res, _ := interp.Run(f, nil, nil, nil, 0)
+	res, _ := interp.Exec(f, nil, nil, 0)
 	if interp.F(res.Ret) != 3.75 {
 		t.Fatalf("fmul folded wrong: %v", interp.F(res.Ret))
 	}
@@ -268,7 +335,7 @@ end:
 	if len(f.Blocks) != 1 {
 		t.Fatalf("blocks = %d, want 1", len(f.Blocks))
 	}
-	res, _ := interp.Run(f, []uint64{interp.IBits(3)}, nil, nil, 0)
+	res, _ := interp.Exec(f, []uint64{interp.IBits(3)}, nil, 0)
 	if interp.I(res.Ret) != 36 {
 		t.Fatalf("semantics broken: %d", interp.I(res.Ret))
 	}
@@ -301,7 +368,7 @@ func TestOptimizePipelinePreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := interp.Run(inlined, []uint64{interp.IBits(10), interp.IBits(4)}, nil, nil, 0)
+	before, err := interp.Exec(inlined, []uint64{interp.IBits(10), interp.IBits(4)}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +379,7 @@ func TestOptimizePipelinePreservesSemantics(t *testing.T) {
 	if err := analysis.VerifySSA(inlined); err != nil {
 		t.Fatalf("optimized SSA invalid: %v", err)
 	}
-	after, err := interp.Run(inlined, []uint64{interp.IBits(10), interp.IBits(4)}, nil, nil, 0)
+	after, err := interp.Exec(inlined, []uint64{interp.IBits(10), interp.IBits(4)}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,14 +435,14 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := interp.Run(f, []uint64{interp.IBits(6), interp.IBits(7)}, nil, nil, 0)
+	before, _ := interp.Exec(f, []uint64{interp.IBits(6), interp.IBits(7)}, nil, 0)
 	if removed := LocalCSE(f); removed != 2 {
 		t.Fatalf("removed %d duplicates, want 2", removed)
 	}
 	if err := analysis.VerifySSA(f); err != nil {
 		t.Fatalf("CSE broke SSA: %v", err)
 	}
-	after, err := interp.Run(f, []uint64{interp.IBits(6), interp.IBits(7)}, nil, nil, 0)
+	after, err := interp.Exec(f, []uint64{interp.IBits(6), interp.IBits(7)}, nil, 0)
 	if err != nil || after.Ret != before.Ret {
 		t.Fatalf("CSE changed semantics: %v vs %v (%v)", after.Ret, before.Ret, err)
 	}
@@ -422,14 +489,14 @@ b:
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := interp.Run(f, []uint64{interp.IBits(5)}, nil, nil, 0)
+	before, _ := interp.Exec(f, []uint64{interp.IBits(5)}, nil, 0)
 	if removed := LocalCSE(f); removed != 1 {
 		t.Fatalf("removed %d, want 1", removed)
 	}
 	if err := analysis.VerifySSA(f); err != nil {
 		t.Fatalf("cross-block rewrite broke SSA: %v", err)
 	}
-	after, _ := interp.Run(f, []uint64{interp.IBits(5)}, nil, nil, 0)
+	after, _ := interp.Exec(f, []uint64{interp.IBits(5)}, nil, 0)
 	if after.Ret != before.Ret {
 		t.Fatal("cross-block CSE changed semantics")
 	}

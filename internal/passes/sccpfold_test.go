@@ -64,7 +64,7 @@ join:
 	}
 	// The phi must have become the constant 20.
 	mem := make([]uint64, 8)
-	res, err := interp.Run(out, []uint64{0}, mem, nil, 0)
+	res, err := interp.Exec(out, []uint64{0}, mem, 0)
 	if err != nil || interp.I(res.Ret) != 20 {
 		t.Fatalf("optimized run = %d, %v; want 20", interp.I(res.Ret), err)
 	}
@@ -79,7 +79,7 @@ entry:
   ret r1
 }`)
 	out := optimize(t, f)
-	_, err := interp.Run(out, nil, make([]uint64, 8), nil, 0)
+	_, err := interp.Exec(out, nil, make([]uint64, 8), 0)
 	if !errors.Is(err, interp.ErrDivideByZero) {
 		t.Fatalf("optimizer erased the divide-by-zero trap (err = %v):\n%s", err, ir.Print(out))
 	}
@@ -93,7 +93,7 @@ entry:
   ret r1
 }`)
 	out := optimize(t, f)
-	_, err := interp.Run(out, nil, make([]uint64, 64), nil, 0)
+	_, err := interp.Exec(out, nil, make([]uint64, 64), 0)
 	if !errors.Is(err, interp.ErrOutOfBounds) {
 		t.Fatalf("optimizer erased the out-of-bounds fault (err = %v):\n%s", err, ir.Print(out))
 	}
@@ -117,7 +117,7 @@ join:
 }`)
 	out := optimize(t, f)
 	mem := make([]uint64, 8)
-	res, err := interp.Run(out, []uint64{100}, mem, nil, 0)
+	res, err := interp.Exec(out, []uint64{100}, mem, 0)
 	if err != nil || interp.I(res.Ret) != 105 {
 		t.Fatalf("optimized run = %d, %v; want 105", interp.I(res.Ret), err)
 	}
@@ -144,11 +144,11 @@ func faultClass(err error) error {
 func checkEquivalent(t *testing.T, label string, f *ir.Function, args []uint64, memImage []uint64, maxSteps int64) {
 	t.Helper()
 	mem1 := append([]uint64(nil), memImage...)
-	r1, err1 := interp.Run(f, args, mem1, nil, maxSteps)
+	r1, err1 := interp.Exec(f, args, mem1, maxSteps)
 
 	opt := optimize(t, f)
 	mem2 := append([]uint64(nil), memImage...)
-	r2, err2 := interp.Run(opt, args, mem2, nil, maxSteps)
+	r2, err2 := interp.Exec(opt, args, mem2, maxSteps)
 
 	if faultClass(err1) != faultClass(err2) {
 		t.Fatalf("%s: fault changed under -O: %v vs %v", label, err1, err2)

@@ -4,122 +4,118 @@ import (
 	"reflect"
 	"testing"
 
+	"needle/internal/ballarus"
 	"needle/internal/energy"
-	"needle/internal/interp"
+	"needle/internal/interp/interpref"
 	"needle/internal/ir"
 	"needle/internal/mem"
 	"needle/internal/ooo"
-	"needle/internal/pm"
-	"needle/internal/profile"
-	"needle/internal/spec"
+	"needle/internal/passes"
 	"needle/internal/workloads"
 )
 
-// captureHooked is Capture with the compiled fast path disabled: the
-// collector is committed to the hook path before running, and the timing
-// model, history tracker, and profiler are wired through CombineHooks. It
-// is the oracle the fast path must match event for event.
-func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, error) {
-	am := pm.NewManager()
-	collector, err := profile.NewCollector(am, f, true)
+// refCapture is what Capture observes, produced by the hook-driven
+// reference interpreter: the reference profiler, the timing model fed one
+// instruction at a time, and the history register, all attached to one
+// interpref.Run. It is the oracle the plan must match event for event.
+type refCapture struct {
+	occ     []Occurrence
+	prof    *interpref.Profiler
+	cycles  int64
+	mix     ooo.OpMix
+	cache   mem.Stats
+	energyP float64
+}
+
+func captureRef(t *testing.T, f *ir.Function, args, memory []uint64, cfg Config) *refCapture {
+	t.Helper()
+	dag, err := ballarus.Build(nil, f)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	cache := mem.New(cfg.Mem)
 	model := ooo.New(cfg.OOO, f.NumRegs(), cache)
-	hist := &spec.HistoryTracker{}
-
-	tr := &Trace{AM: am}
+	var hist uint64
+	ref := &refCapture{prof: interpref.NewProfiler(dag)}
+	ref.prof.RecordTrace = true
 	var lastCycles int64
 	var histBefore uint64
-	collector.SetOnPath(func(id int64) {
+	ref.prof.OnPath = func(id int64) {
 		now := model.Cycles()
-		tr.Occ = append(tr.Occ, Occurrence{Path: id, Hist: histBefore, Cycles: now - lastCycles})
+		ref.occ = append(ref.occ, Occurrence{Path: id, Hist: histBefore, Cycles: now - lastCycles})
 		lastCycles = now
-		histBefore = hist.H
-	})
-	all := interp.CombineHooks(collector.Hooks(), model.Hooks(), hist.Hooks())
-	if collector.Fast() {
-		return nil, errSimImpossible
+		histBefore = hist
 	}
-	if _, err := interp.Run(f, args, memory, all, cfg.MaxSteps); err != nil {
-		return nil, err
+	if _, err := interpref.Run(f, args, memory, cfg.MaxSteps, ref.prof.Hooks(), interpref.TimingHooks(model), interpref.HistoryHooks(&hist)); err != nil {
+		t.Fatalf("%s: reference run: %v", f.Name, err)
 	}
-	fp, err := collector.Finish()
-	if err != nil {
-		return nil, err
-	}
-	tr.Profile = fp
-	tr.BaselineCycles = model.Cycles()
-	tr.Mix = model.Mix
-	tr.CacheStats = cache.Stats
-	tr.BaselineEnergyPJ = energy.HostEnergyPJ(cfg.CPU, model.Mix, cache.Stats)
-	return tr, nil
+	ref.cycles = model.Cycles()
+	ref.mix = model.Mix
+	ref.cache = cache.Stats
+	ref.energyP = energy.HostEnergyPJ(cfg.CPU, model.Mix, cache.Stats)
+	return ref
 }
 
-var errSimImpossible = &simTestErr{"collector still fast after Hooks()"}
-
-type simTestErr struct{ s string }
-
-func (e *simTestErr) Error() string { return e.s }
-
-// assertCaptureEquivalent runs the system-simulator capture both ways on one
-// workload and demands byte-identical traces: same per-occurrence cycle
-// attribution and history snapshots, same baseline cycles, op mix, cache
-// stats, energy, and the same finished profile.
-func assertCaptureEquivalent(t *testing.T, w *workloads.Workload, n int, requireFast bool) {
+// assertCaptureEquivalent runs Capture and the reference capture on one
+// workload — inlined, as the pipeline captures it — and demands identical
+// traces: same per-occurrence cycle attribution and history snapshots, same
+// baseline cycles, op mix, cache stats, energy, and the same profile.
+func assertCaptureEquivalent(t *testing.T, w *workloads.Workload, n int) {
 	t.Helper()
 	name := w.Name
 	cfg := DefaultConfig()
-
-	f, args, memory := w.Instance(n)
-	if c, err := profile.NewCollector(nil, f, true); err != nil {
-		t.Fatalf("%s: NewCollector: %v", name, err)
-	} else if !c.Fast() && requireFast {
-		t.Fatalf("%s: workload did not take the fast path; test is vacuous", name)
+	instance := func() (*ir.Function, []uint64, []uint64) {
+		f, args, memory := w.Instance(n)
+		inl, err := passes.InlineAll(f, 0)
+		if err != nil {
+			t.Fatalf("%s: inline: %v", name, err)
+		}
+		return inl, args, memory
 	}
-	fast, err := Capture(nil, f, args, memory, cfg)
+
+	f, args, memory := instance()
+	got, err := Capture(nil, f, args, memory, cfg)
 	if err != nil {
-		t.Fatalf("%s: fast capture: %v", name, err)
+		t.Fatalf("%s: capture: %v", name, err)
 	}
+	f2, args2, memory2 := instance()
+	ref := captureRef(t, f2, args2, memory2, cfg)
 
-	f2, args2, memory2 := w.Instance(n)
-	slow, err := captureHooked(f2, args2, memory2, cfg)
-	if err != nil {
-		t.Fatalf("%s: hooked capture: %v", name, err)
+	if !reflect.DeepEqual(got.Occ, ref.occ) {
+		t.Fatalf("%s: occurrence streams differ (plan %d, reference %d)", name, len(got.Occ), len(ref.occ))
 	}
-
-	if !reflect.DeepEqual(fast.Occ, slow.Occ) {
-		t.Fatalf("%s: occurrence streams differ (fast %d, hooked %d)", name, len(fast.Occ), len(slow.Occ))
+	if got.BaselineCycles != ref.cycles {
+		t.Errorf("%s: baseline cycles plan=%d reference=%d", name, got.BaselineCycles, ref.cycles)
 	}
-	if fast.BaselineCycles != slow.BaselineCycles {
-		t.Errorf("%s: baseline cycles fast=%d hooked=%d", name, fast.BaselineCycles, slow.BaselineCycles)
+	if got.Mix != ref.mix {
+		t.Errorf("%s: op mix plan=%+v reference=%+v", name, got.Mix, ref.mix)
 	}
-	if fast.Mix != slow.Mix {
-		t.Errorf("%s: op mix fast=%+v hooked=%+v", name, fast.Mix, slow.Mix)
+	if got.CacheStats != ref.cache {
+		t.Errorf("%s: cache stats plan=%+v reference=%+v", name, got.CacheStats, ref.cache)
 	}
-	if fast.CacheStats != slow.CacheStats {
-		t.Errorf("%s: cache stats fast=%+v hooked=%+v", name, fast.CacheStats, slow.CacheStats)
+	if got.BaselineEnergyPJ != ref.energyP {
+		t.Errorf("%s: energy plan=%v reference=%v", name, got.BaselineEnergyPJ, ref.energyP)
 	}
-	if fast.BaselineEnergyPJ != slow.BaselineEnergyPJ {
-		t.Errorf("%s: energy fast=%v hooked=%v", name, fast.BaselineEnergyPJ, slow.BaselineEnergyPJ)
+	fp := got.Profile
+	if len(fp.Paths) != len(ref.prof.Counts) {
+		t.Fatalf("%s: %d executed paths, reference %d", name, len(fp.Paths), len(ref.prof.Counts))
 	}
-	fp, sp := fast.Profile, slow.Profile
-	if fp.TotalWeight != sp.TotalWeight || len(fp.Paths) != len(sp.Paths) {
-		t.Fatalf("%s: profile shape differs", name)
-	}
-	for i := range fp.Paths {
-		if fp.Paths[i].ID != sp.Paths[i].ID || fp.Paths[i].Freq != sp.Paths[i].Freq {
-			t.Fatalf("%s: path %d differs", name, i)
+	for _, p := range fp.Paths {
+		if ref.prof.Counts[p.ID] != p.Freq {
+			t.Fatalf("%s: path %d freq %d, reference %d", name, p.ID, p.Freq, ref.prof.Counts[p.ID])
 		}
 	}
-	if !reflect.DeepEqual(fp.Trace, sp.Trace) {
+	if !reflect.DeepEqual(fp.Trace, ref.prof.Trace) {
 		t.Fatalf("%s: path traces differ", name)
 	}
-	if !reflect.DeepEqual(fp.BlockCounts, sp.BlockCounts) {
+	if !reflect.DeepEqual(fp.BlockCounts, ref.prof.Blocks) {
 		t.Fatalf("%s: block counts differ", name)
 	}
-	if !reflect.DeepEqual(fp.EdgeCounts, sp.EdgeCounts) {
+	edges := make(map[[2]int]int64, len(fp.EdgeCounts))
+	for e, c := range fp.EdgeCounts {
+		edges[[2]int{e.From, e.To}] = c
+	}
+	if !reflect.DeepEqual(edges, ref.prof.Edges) {
 		t.Fatalf("%s: edge counts differ", name)
 	}
 }
@@ -139,23 +135,21 @@ func TestCaptureFastMatchesHooked(t *testing.T) {
 		if w == nil {
 			t.Fatalf("unknown workload %s", tc.name)
 		}
-		assertCaptureEquivalent(t, w, tc.n, true)
+		assertCaptureEquivalent(t, w, tc.n)
 	}
 }
 
-// TestCaptureFastMatchesHookedAllWorkloads runs the batched-vs-hooked
+// TestCaptureFastMatchesHookedAllWorkloads runs the plan-vs-reference
 // differential over the entire workload suite at a modest iteration count,
 // so every block shape in the corpus (wide phis, dense float kernels,
-// irregular control flow) crosses the packet fast path at least once.
-// Workloads that cannot take the compiled fast path (444.namd) still run:
-// there the comparison pins the hooked fallback against itself, which keeps
-// the test from silently going vacuous if the fast-path predicate changes.
+// irregular control flow, 444.namd's inlined helpers) crosses the batched
+// timing feed at least once.
 func TestCaptureFastMatchesHookedAllWorkloads(t *testing.T) {
 	all := workloads.All()
 	if len(all) < 29 {
 		t.Fatalf("workload suite shrank: %d workloads, want >= 29", len(all))
 	}
 	for _, w := range all {
-		assertCaptureEquivalent(t, w, 400, w.Name != "444.namd")
+		assertCaptureEquivalent(t, w, 400)
 	}
 }

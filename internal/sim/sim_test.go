@@ -1,10 +1,9 @@
 package sim
 
 import (
+	"sync"
 	"testing"
 
-	"needle/internal/interp"
-	"needle/internal/region"
 	"needle/internal/spec"
 	"needle/internal/workloads"
 )
@@ -165,69 +164,44 @@ func TestResultInternalConsistency(t *testing.T) {
 	}
 }
 
-// TestFunctionalOffloadMatchesPureExecution is the end-to-end correctness
-// contract of software speculation: interleaving host execution with
-// speculative frames (including failures and rollbacks) must produce
-// bit-identical results and memory to a pure host run.
-func TestFunctionalOffloadMatchesPureExecution(t *testing.T) {
-	for _, tc := range []struct {
-		workload string
-		braid    bool
-	}{
-		{"181.mcf", false},
-		{"456.hmmer", true},
-		{"bodytrack", true}, // noisy: exercises failures+rollbacks
-		{"164.gzip", false}, // early-exit chains
-		{"470.lbm", true},   // store-heavy
-		{"freqmine", false}, // store-bearing divergent paths
-	} {
-		tc := tc
-		t.Run(tc.workload, func(t *testing.T) {
-			w := workloads.ByName(tc.workload)
-			f, args, mem1 := w.Instance(900)
-			pure, err := interp.Run(f, args, mem1, nil, 0)
+// TestConcurrentTargetsShareProfile: the service evaluates targets of one
+// store-shared profile from concurrent requests, so building targets (and
+// the dense op table they share through the profile) and evaluating them
+// must be race-free — the race detector run of the suite checks it — and
+// every goroutine must see the serial result.
+func TestConcurrentTargetsShareProfile(t *testing.T) {
+	tr := capture(t, "181.mcf", 800)
+	cfg := DefaultConfig()
+	hot := tr.Profile.HottestPath()
+	const workers = 4
+	got := make([]Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tgt, err := NewPathTarget(tr.AM, tr.Profile, hot, cfg)
 			if err != nil {
-				t.Fatal(err)
+				errs[i] = err
+				return
 			}
-
-			// Fresh memory for profiling, then a third copy for the
-			// functional offload run.
-			_, args2, memProfile := w.Instance(900)
-			cfg := DefaultConfig()
-			tr, err := Capture(nil, f, args2, memProfile, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var tgt *Target
-			if tc.braid {
-				braids := region.BuildBraids(tr.Profile, 0)
-				tgt, err = NewBraidTarget(nil, tr.Profile, braids[0], cfg)
-			} else {
-				tgt, err = NewPathTarget(nil, tr.Profile, tr.Profile.HottestPath(), cfg)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			_, args3, mem3 := w.Instance(900)
-			res, err := FunctionalOffload(f, args3, mem3, tgt, spec.Always{}, 0)
-			if err != nil {
-				t.Fatalf("FunctionalOffload: %v", err)
-			}
-			if res.Ret != pure.Ret {
-				t.Fatalf("offloaded result %d != pure result %d", res.Ret, pure.Ret)
-			}
-			for i := range mem1 {
-				if mem1[i] != mem3[i] {
-					t.Fatalf("memory diverged at word %d", i)
-				}
-			}
-			if res.Invocations == 0 {
-				t.Fatal("the target was never invoked")
-			}
-			t.Logf("%s: %d invocations, %d successes, %d rollbacks, %d frame ops",
-				tc.workload, res.Invocations, res.Successes, res.Rollbacks, res.FrameOps)
-		})
+			got[i] = Evaluate(tr, tgt, spec.NewHistory(cfg.HistBits), cfg)
+		}(i)
+	}
+	wg.Wait()
+	tgt, err := NewPathTarget(tr.AM, tr.Profile, hot, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Evaluate(tr, tgt, spec.NewHistory(cfg.HistBits), cfg)
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("worker %d: %v", i, errs[i])
+		}
+		if got[i] != want {
+			t.Fatalf("worker %d: %+v, serial %+v", i, got[i], want)
+		}
 	}
 }
 

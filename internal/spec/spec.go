@@ -249,33 +249,19 @@ func (o *Oracle) Predict(uint64) bool { return o.next }
 func (o *Oracle) Update(uint64, bool) {}
 func (o *Oracle) Name() string        { return "oracle" }
 
-// HistoryTracker maintains the global branch-history shift register from
-// interpreter edge events: a 1 bit is shifted in when a conditional branch
-// is taken, 0 when it falls through.
+// HistoryTracker maintains the global branch-history shift register: a 1
+// bit is shifted in when a conditional branch is taken, 0 when it falls
+// through. Planned runs update H directly (interp.PlanOpts.History).
 type HistoryTracker struct {
 	H uint64
 }
 
 // Shift records one conditional-branch outcome: a 1 bit is shifted in for
-// taken, 0 for fall-through. The interpreter's compiled fast path calls it
-// directly; the hook path goes through Hooks.
+// taken, 0 for fall-through.
 func (ht *HistoryTracker) Shift(taken bool) {
 	bit := uint64(0)
 	if taken {
 		bit = 1
 	}
 	ht.H = ht.H<<1 | bit
-}
-
-// Hooks returns interpreter hooks that update the history register.
-func (ht *HistoryTracker) Hooks() *interp.Hooks {
-	return &interp.Hooks{
-		Edge: func(from, to *ir.Block) {
-			t := from.Term()
-			if t == nil || t.Op != ir.OpCondBr {
-				return
-			}
-			ht.Shift(t.Blocks[0] == to)
-		},
-	}
 }

@@ -258,7 +258,11 @@ func TestHistoryTracker(t *testing.T) {
 	}
 	ht := &HistoryTracker{}
 	mem := make([]uint64, 4)
-	if _, err := interp.Run(f, []uint64{interp.IBits(0), interp.IBits(4)}, mem, ht.Hooks(), 0); err != nil {
+	c, err := profile.NewCollector(nil, f, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunTimed([]uint64{interp.IBits(0), interp.IBits(4)}, mem, nil, &ht.H, 0); err != nil {
 		t.Fatal(err)
 	}
 	// 4 iterations: head taken x4 (1), body latch-taken x4 (1), final head

@@ -27,23 +27,22 @@ type Suite struct {
 // Run analyzes every workload at the configured problem size with the
 // default degree of parallelism (GOMAXPROCS).
 func Run(cfg core.Config) (*Suite, error) {
-	return RunCtx(context.Background(), cfg, core.Options{})
+	return RunCtx(context.Background(), cfg, core.New())
 }
 
 // RunJobs analyzes every workload on a bounded pool of `jobs` workers
 // (GOMAXPROCS when jobs <= 0, serial when jobs == 1). Row order and values
 // are identical regardless of jobs.
 func RunJobs(cfg core.Config, jobs int) (*Suite, error) {
-	return RunCtx(context.Background(), cfg, core.Options{Jobs: jobs})
+	return RunCtx(context.Background(), cfg, core.New(core.WithJobs(jobs)))
 }
 
-// RunCtx analyzes every workload under ctx: cancelling it stops the sweep
-// between workloads and returns ctx.Err(). Options selects the
-// core.Analyzer the sweep runs on — a bounded worker pool via Jobs, and
-// stage-artifact sharing across configs via Store/Cache. Row order and
-// values are independent of both.
-func RunCtx(ctx context.Context, cfg core.Config, opts core.Options) (*Suite, error) {
-	as, err := opts.Analyzer().RunAll(ctx, cfg)
+// RunCtx analyzes every workload on az under ctx: cancelling it stops the
+// sweep between workloads and returns ctx.Err(). The Analyzer's options
+// pick the worker pool (WithJobs) and stage-artifact sharing across configs
+// (WithStore); row order and values are independent of both.
+func RunCtx(ctx context.Context, cfg core.Config, az *core.Analyzer) (*Suite, error) {
+	as, err := az.RunAll(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +417,7 @@ func (s *Suite) TableV() string {
 // is infeasible while the path profile identifies both hot paths exactly.
 // It is self-contained (builds its own kernel) so it does not need a Suite.
 func Figure3() string {
-	a, err := core.Analyze(figure3Workload, core.DefaultConfig())
+	a, err := core.New().RunWorkload(context.Background(), figure3Workload, core.DefaultConfig())
 	if err != nil {
 		return "figure 3 kernel failed: " + err.Error()
 	}

@@ -95,9 +95,9 @@ var Equake = register(&Workload{
 
 // buildLJHelper constructs the Lennard-Jones evaluation as a separate
 // function: namd's hot loop calls it, and the pipeline's aggressive
-// inlining (passes.InlineAll in core.Analyze) flattens it before profiling
-// — the paper's "fully inlined hottest function" flow, exercised on a real
-// workload rather than only in tests.
+// inlining (passes.InlineAll in the inline stage) flattens it before
+// profiling — the paper's "fully inlined hottest function" flow, exercised
+// on a real workload rather than only in tests.
 func buildLJHelper() *ir.Function {
 	b := ir.NewBuilder("lj_eval", ir.F64)
 	r2 := b.Param(0)

@@ -75,12 +75,12 @@ func TestEveryKernelRunsDeterministically(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			f, args, mem1 := w.Instance(300)
-			r1, err := interp.Run(f, args, mem1, nil, 0)
+			r1, err := interp.Exec(f, args, mem1, 0)
 			if err != nil {
 				t.Fatalf("run 1: %v", err)
 			}
 			_, args2, mem2 := w.Instance(300)
-			r2, err := interp.Run(f, args2, mem2, nil, 0)
+			r2, err := interp.Exec(f, args2, mem2, 0)
 			if err != nil {
 				t.Fatalf("run 2: %v", err)
 			}
@@ -239,12 +239,12 @@ func TestNamdUsesCallsUntilInlined(t *testing.T) {
 	}
 	// Same results either way.
 	_, args, mem1 := ByName("444.namd").Instance(500)
-	r1, err := interp.Run(f, args, mem1, nil, 0)
+	r1, err := interp.Exec(f, args, mem1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, args2, mem2 := ByName("444.namd").Instance(500)
-	r2, err := interp.Run(inlined, args2, mem2, nil, 0)
+	r2, err := interp.Exec(inlined, args2, mem2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +278,12 @@ func TestKernelsRoundTripTextualIR(t *testing.T) {
 			}
 			// Semantics preserved: run both on the workload's inputs.
 			_, args, mem1 := w.Instance(200)
-			r1, err := interp.Run(w.Function(), args, mem1, nil, 0)
+			r1, err := interp.Exec(w.Function(), args, mem1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, args2, mem2 := w.Instance(200)
-			r2, err := interp.Run(m2.Funcs[0], args2, mem2, nil, 0)
+			r2, err := interp.Exec(m2.Funcs[0], args2, mem2, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

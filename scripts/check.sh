@@ -35,6 +35,18 @@ fi
 go build ./...
 echo "build  ok"
 
+# The hook-driven reference interpreter is a test oracle: production has
+# one execution engine (the compiled plans), and only tests may import the
+# reference. `go list` reports non-test imports only.
+ref=needle/internal/interp/interpref
+leaks=$(go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -E ": (.* )?$ref( |\$)" || true)
+if [ -n "$leaks" ]; then
+    echo "check: FAIL — non-test packages import the reference interpreter $ref:" >&2
+    echo "$leaks" | cut -d: -f1 >&2
+    exit 1
+fi
+echo "ref    ok (only tests import $ref)"
+
 # The service stack first: the serving layer and the pipeline/core API it
 # fronts are the most concurrency-sensitive packages (worker pools,
 # singleflight, cancellation), so their race-detector run fails fast and
